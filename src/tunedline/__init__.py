@@ -1,4 +1,12 @@
-"""Steady-state phasor simulation of long HVAC lines and tuned-frequency analysis."""
+"""Steady-state phasor simulation of long HVAC lines and tuned-frequency analysis.
+
+A sweep yields one record type, `SweepRecord` (per-phase SI units);
+`three_phase_row` is the one conversion to the three-phase MW/MVAr and
+line-to-line kV that every CLI output reports.
+"""
+
+# before the submodule imports: reporting reads it at import time
+__version__ = "0.1.0"
 
 from .linemodel import (
     RECIPROCITY_TOL,
@@ -28,6 +36,7 @@ from .powerflow import (
     solve_receiving_end,
     voltage_regulation,
 )
+from .reporting import three_phase_row
 from .sweep import (
     MODEL_CHOICES,
     SweepConfig,
@@ -35,6 +44,7 @@ from .sweep import (
     TuningDip,
     detect_tuning_dips,
     run_sweep,
+    sweep_points,
 )
 from .tuning import (
     DEFAULT_VELOCITY_KM_S,
@@ -43,8 +53,6 @@ from .tuning import (
     tuned_lengths,
     tuning_frequencies,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",
@@ -78,6 +86,8 @@ __all__ = [
     "TuningDip",
     "detect_tuning_dips",
     "run_sweep",
+    "sweep_points",
+    "three_phase_row",
     "DEFAULT_VELOCITY_KM_S",
     "TuningSolution",
     "is_tuned",

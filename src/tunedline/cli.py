@@ -15,16 +15,16 @@ from pathlib import Path
 from . import __version__
 from .config import ConfigError, load_sweep_config, resolve_config_arg
 from .linemodel import Frequency
-from .powerflow import ResonanceError, complex_power_accounting, solve_receiving_end
+from .powerflow import ResonanceError
 from .reporting import (
-    SweepCsvRow,
+    CSV_FIELDS,
     build_manifest,
     dips_report_json,
     format_sweep_csv,
-    to_csv_rows,
+    three_phase_row,
     write_text_atomic,
 )
-from .sweep import SweepRecord, detect_tuning_dips, run_sweep
+from .sweep import detect_tuning_dips, run_sweep, sweep_points
 from .tuning import DEFAULT_VELOCITY_KM_S, tuned_lengths, tuning_frequencies
 
 _PLOT_QUANTITIES = ("p_r_mw", "q_r_mvar", "q_line_mvar")
@@ -114,40 +114,26 @@ def cmd_tuning(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_row(cfg, frequency: float) -> SweepCsvRow:
-    freq = Frequency(frequency)
-    line = cfg.two_port(freq)
-    vs = complex(cfg.source_voltage / 3.0**0.5, 0.0)
-    state = solve_receiving_end(line, vs, cfg.load, freq)
-    result = complex_power_accounting(state)
-    record = SweepRecord(
-        f=frequency,
-        p_r=result.p_r,
-        q_r=result.q_r,
-        q_line=result.q_line,
-        vs_mag=abs(state.vs),
-        vr_mag=abs(state.vr),
-        delta_v=result.delta_v,
-        singular=False,
-    )
-    return to_csv_rows([record])[0]
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     cfg = load_sweep_config(resolve_config_arg(args.config))
-    row = _solve_row(cfg, args.frequency)
-    payload = asdict(row)
+    frequency = Frequency(args.frequency).f  # rejects non-positive and non-finite values
+    (record,) = sweep_points(cfg, [frequency])
+    if record.singular:
+        raise ResonanceError(f"line-load resonance at f = {frequency} Hz")
+    row = three_phase_row(record)
+    payload = dict(zip(CSV_FIELDS, row))
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        print(f"f        = {row.f_hz:g} Hz")
+        f_hz, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = row
+        print(f"f        = {f_hz:g} Hz")
         print(f"model    = {cfg.model}, length = {cfg.length:g} km")
-        print(f"P_r      = {row.p_r_mw:.6g} MW (three-phase)")
-        print(f"Q_r      = {row.q_r_mvar:.6g} MVAr")
-        print(f"Q_line   = {row.q_line_mvar:.6g} MVAr")
-        print(f"|Vs|     = {row.vs_kv:.6g} kV (line-to-line)")
-        print(f"|Vr|     = {row.vr_kv:.6g} kV")
-        print(f"delta_v  = {row.delta_v:.6g}")
+        print(f"P_r      = {p_r_mw:.6g} MW (three-phase)")
+        print(f"Q_r      = {q_r_mvar:.6g} MVAr")
+        print(f"Q_line   = {q_line_mvar:.6g} MVAr")
+        print(f"|Vs|     = {vs_kv:.6g} kV (line-to-line)")
+        print(f"|Vr|     = {vr_kv:.6g} kV")
+        print(f"delta_v  = {delta_v:.6g}")
     if args.out:
         write_text_atomic(args.out, json.dumps(payload, indent=2) + "\n")
     return 0
@@ -157,7 +143,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_sweep_config(resolve_config_arg(args.config))
     records = run_sweep(cfg)
     dips = detect_tuning_dips(records, cfg.length, cfg.line.velocity)
-    rows = to_csv_rows(records)
+    rows = list(map(three_phase_row, records))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,7 +154,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         json_path = out_dir / "records.json"
-        write_text_atomic(json_path, json.dumps([asdict(r) for r in rows], indent=2) + "\n")
+        records_json = json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2)
+        write_text_atomic(json_path, records_json + "\n")
         outputs.append(str(json_path))
 
     dips_path = out_dir / "dips.json"
@@ -177,11 +164,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.plot_data:
         for quantity in _PLOT_QUANTITIES:
+            column = CSV_FIELDS.index(quantity)
             lines = [f"# f_hz {quantity}"]
             for row in rows:
-                value = getattr(row, quantity)
+                value = row[column]
                 if value is not None:
-                    lines.append(f"{format(row.f_hz, '.17g')} {format(value, '.17g')}")
+                    lines.append(f"{format(row[0], '.17g')} {format(value, '.17g')}")
             dat_path = out_dir / f"{quantity}.dat"
             write_text_atomic(dat_path, "\n".join(lines) + "\n")
             outputs.append(str(dat_path))

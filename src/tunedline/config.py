@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .linemodel import LineParameters
 from .powerflow import LoadSpec
-from .sweep import SweepConfig
+from .sweep import MODEL_CHOICES, SweepConfig
 
 __all__ = [
     "ConfigError",
@@ -241,10 +241,8 @@ def _parse_load(sec: _Section, origin: str) -> LoadSpec:
 
 
 def _parse_model(text: str, origin: str) -> tuple[str, int]:
-    if text in ("exact", "lossless"):
+    if text in MODEL_CHOICES:
         return text, 100
-    if text == "pi-cascade":
-        return "pi-cascade", 100
     match = _MODEL_RE.match(text)
     if match:
         sections = int(match.group(1))

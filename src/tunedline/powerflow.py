@@ -71,6 +71,9 @@ class LoadSpec:
     def __post_init__(self) -> None:
         if self.kind not in LOAD_KINDS:
             raise ValueError(f"unknown load kind {self.kind!r}")
+        for name in ("g_load", "c_load"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.g_load < 0.0 or self.c_load < 0.0:
             raise ValueError("g_load and c_load must be non-negative")
 

@@ -1,13 +1,18 @@
 """Result serialization: sweep CSV, dips report, run manifest, plot data.
 
+The library works per phase; every output reports three-phase totals in
+MW/MVAr and line-to-line kV.  `three_phase_row` is the one place that
+conversion happens (x*3/1e6 for powers, v*sqrt(3)/1e3 for voltages):
+records.csv, records.json, the plot files, dips.json and the `solve`
+report are all built from its rows.
+
 The CSV schema is fixed and byte-deterministic for a given config:
 
     f_hz,p_r_mw,q_r_mvar,q_line_mvar,vs_kv,vr_kv,delta_v,singular
 
-Rows hold three-phase totals in MW/MVAr and line-to-line kV (the library
-itself works per phase); floats are written with 17 significant digits so
-parsing a file reproduces the written values exactly.  Singular rows keep
-f_hz, vs_kv and the flag and leave the other cells empty.
+Floats are written with 17 significant digits so parsing a file
+reproduces the written values exactly.  Singular rows keep f_hz, vs_kv
+and the flag and leave the other cells empty.
 
 All writers go through a .partial temp file and rename on success, so an
 interrupted run never leaves a clean-looking half-written output.
@@ -27,8 +32,8 @@ from .sweep import SweepConfig, SweepRecord, TuningDip
 
 __all__ = [
     "CSV_HEADER",
-    "SweepCsvRow",
-    "to_csv_rows",
+    "CSV_FIELDS",
+    "three_phase_row",
     "format_sweep_csv",
     "read_sweep_csv",
     "write_text_atomic",
@@ -39,75 +44,50 @@ __all__ = [
 ]
 
 CSV_HEADER = "f_hz,p_r_mw,q_r_mvar,q_line_mvar,vs_kv,vr_kv,delta_v,singular"
+CSV_FIELDS = tuple(CSV_HEADER.split(","))
 
 _SQRT3 = 3.0**0.5
 
-
-@dataclass(frozen=True)
-class SweepCsvRow:
-    """One CSV row: three-phase MW/MVAr, line-to-line kV."""
-
-    f_hz: float
-    p_r_mw: float | None
-    q_r_mvar: float | None
-    q_line_mvar: float | None
-    vs_kv: float
-    vr_kv: float | None
-    delta_v: float | None
-    singular: bool
+_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,false"
+_SINGULAR_ROW = "%.17g,,,,%.17g,,,true"
 
 
-def _to_mw(per_phase_w: float | None) -> float | None:
-    return None if per_phase_w is None else per_phase_w * 3.0 / 1e6
+def three_phase_row(rec: SweepRecord) -> tuple:
+    """A per-phase record as a row in CSV column order (see CSV_FIELDS).
+
+    Powers become three-phase MW/MVAr and voltages line-to-line kV; f_hz,
+    delta_v and the singular flag pass through, and the cells a singular
+    record leaves as None stay None.
+    """
+    f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, singular = rec
+    if singular:
+        return (f, None, None, None, vs_mag * _SQRT3 / 1e3, None, None, True)
+    return (
+        f,
+        p_r * 3.0 / 1e6,
+        q_r * 3.0 / 1e6,
+        q_line * 3.0 / 1e6,
+        vs_mag * _SQRT3 / 1e3,
+        vr_mag * _SQRT3 / 1e3,
+        delta_v,
+        False,
+    )
 
 
-def _to_kv_ll(per_phase_v: float | None) -> float | None:
-    return None if per_phase_v is None else per_phase_v * _SQRT3 / 1e3
-
-
-def to_csv_rows(records: list[SweepRecord]) -> list[SweepCsvRow]:
-    """Convert per-phase sweep records to reporting units."""
-    return [
-        SweepCsvRow(
-            f_hz=r.f,
-            p_r_mw=_to_mw(r.p_r),
-            q_r_mvar=_to_mw(r.q_r),
-            q_line_mvar=_to_mw(r.q_line),
-            vs_kv=_to_kv_ll(r.vs_mag),
-            vr_kv=_to_kv_ll(r.vr_mag),
-            delta_v=r.delta_v,
-            singular=r.singular,
-        )
-        for r in records
-    ]
-
-
-def _fmt(value: float | None) -> str:
-    return "" if value is None else format(value, ".17g")
-
-
-def format_sweep_csv(rows: list[SweepCsvRow]) -> str:
+def format_sweep_csv(rows: list[tuple]) -> str:
+    """CSV text of three_phase_row rows, header first, newline-terminated."""
     lines = [CSV_HEADER]
+    append = lines.append
     for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(row.f_hz),
-                    _fmt(row.p_r_mw),
-                    _fmt(row.q_r_mvar),
-                    _fmt(row.q_line_mvar),
-                    _fmt(row.vs_kv),
-                    _fmt(row.vr_kv),
-                    _fmt(row.delta_v),
-                    "true" if row.singular else "false",
-                )
-            )
-        )
+        if row[7]:
+            append(_SINGULAR_ROW % (row[0], row[4]))
+        else:
+            append(_ROW % row[:7])
     return "\n".join(lines) + "\n"
 
 
-def read_sweep_csv(path: str | Path) -> list[SweepCsvRow]:
-    """Parse an emitted CSV back into rows (floats round-trip exactly)."""
+def read_sweep_csv(path: str | Path) -> list[tuple]:
+    """Parse an emitted CSV back into three_phase_row rows (floats round-trip exactly)."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -121,18 +101,8 @@ def read_sweep_csv(path: str | Path) -> list[SweepCsvRow]:
         cells = line.split(",")
         if len(cells) != 8:
             raise ValueError(f"{path}: malformed row {line!r}")
-        rows.append(
-            SweepCsvRow(
-                f_hz=float(cells[0]),
-                p_r_mw=parse(cells[1]),
-                q_r_mvar=parse(cells[2]),
-                q_line_mvar=parse(cells[3]),
-                vs_kv=float(cells[4]),
-                vr_kv=parse(cells[5]),
-                delta_v=parse(cells[6]),
-                singular={"true": True, "false": False}[cells[7]],
-            )
-        )
+        singular = {"true": True, "false": False}[cells[7]]
+        rows.append(tuple(map(parse, cells[:7])) + (singular,))
     return rows
 
 
@@ -151,7 +121,10 @@ def dips_report_json(dips: list[TuningDip]) -> str:
         {
             "f_detected": d.f_detected,
             "n_matched": d.n_matched,
-            "q_line_at_dip": _to_mw(d.q_line_at_dip),
+            # a one-field record, so the dip goes through the same conversion
+            "q_line_at_dip": three_phase_row(
+                SweepRecord(d.f_detected, 0.0, 0.0, d.q_line_at_dip, 0.0, 0.0, 0.0, False)
+            )[3],
         }
         for d in dips
     ]

@@ -6,22 +6,24 @@ frequency is swept over a uniform grid.  Each grid point is solved
 independently with the selected line model; resonant points are flagged
 in-band rather than aborting the sweep.  Records are per-phase quantities
 in SI units, emitted in ascending frequency order.
+
+The per-point loop fuses the two-port build, the terminal solve and the
+power accounting into plain local arithmetic.  Every expression keeps the
+operation order of the scalar functions in `linemodel` and `powerflow`
+(`abcd_lossless`, `abcd_exact`, `solve_receiving_end`,
+`complex_power_accounting`), so its records are bit-identical to theirs;
+those functions stay as the independent oracle the tests check it against.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
-from .linemodel import (
-    Frequency,
-    LineParameters,
-    TwoPort,
-    abcd_exact,
-    abcd_lossless,
-    pi_cascade_oracle,
-)
-from .powerflow import LoadSpec, ResonanceError, complex_power_accounting, solve_receiving_end
+from .linemodel import Frequency, LineParameters, pi_cascade_oracle
+from .powerflow import _SINGULARITY_REL, LoadSpec
 
 __all__ = [
     "MODEL_CHOICES",
@@ -29,6 +31,7 @@ __all__ = [
     "SweepRecord",
     "TuningDip",
     "run_sweep",
+    "sweep_points",
     "detect_tuning_dips",
 ]
 
@@ -60,8 +63,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.length) and self.length > 0.0):
             raise ValueError("length must be positive")
-        if self.source_voltage <= 0.0:
-            raise ValueError("source_voltage must be positive")
+        if not (math.isfinite(self.source_voltage) and self.source_voltage > 0.0):
+            raise ValueError("source_voltage must be positive and finite")
+        if not (math.isfinite(self.f_start) and math.isfinite(self.f_end)):
+            raise ValueError("f_start and f_end must be finite")
         if not (0.0 < self.f_start < self.f_end):
             raise ValueError("need 0 < f_start < f_end")
         if self.n_points < 2:
@@ -78,18 +83,12 @@ class SweepConfig:
         step = (self.f_end - self.f_start) / (self.n_points - 1)
         return [self.f_start + i * step for i in range(self.n_points - 1)] + [self.f_end]
 
-    def two_port(self, freq: Frequency) -> TwoPort:
-        if self.model == "lossless":
-            return abcd_lossless(self.line, self.length, freq)
-        if self.model == "pi-cascade":
-            return pi_cascade_oracle(self.line, self.length, freq, self.pi_sections)
-        return abcd_exact(self.line, self.length, freq)
 
-
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One frequency point: per-phase W/VAr and line-to-neutral volts.
 
+    The only record type of a sweep; `reporting.three_phase_row` turns it
+    into the three-phase MW/MVAr and line-to-line kV every output carries.
     Singular (resonant) points keep f, vs_mag and the flag but carry None
     for everything the solve would have produced.
     """
@@ -120,40 +119,64 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     returned in ascending frequency order.  Per-point resonances produce
     singular records instead of aborting.
     """
+    return sweep_points(cfg, cfg.grid())
+
+
+def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRecord]:
+    """Solve cfg's system at each given frequency (Hz, positive and finite).
+
+    For each point: vr = vs / (a + b*y), ir = y*vr, is = c*vr + d*ir,
+    then S_r = vr*conj(ir) and S_s = vs*conj(is).  A point is singular
+    when |a + b*y| < 1e-9 * |a|, as in `solve_receiving_end`.
+    """
+    line, length, model = cfg.line, cfg.length, cfg.model
+    r, L, g, C = line.r, line.L, line.g, line.C
+    g_load, c_load = cfg.load.g_load, cfg.load.c_load
+    sqrt_lc = math.sqrt(L * C)
+    zc_lossless = math.sqrt(L / C)
     vs = complex(cfg.source_voltage / _SQRT3, 0.0)
+    vs_mag = abs(vs)
+    two_pi = 2.0 * math.pi
     records: list[SweepRecord] = []
-    for f in cfg.grid():
-        freq = Frequency(f)
-        line = cfg.two_port(freq)
-        try:
-            state = solve_receiving_end(line, vs, cfg.load, freq)
-        except ResonanceError:
-            records.append(
-                SweepRecord(
-                    f=f,
-                    p_r=None,
-                    q_r=None,
-                    q_line=None,
-                    vs_mag=abs(vs),
-                    vr_mag=None,
-                    delta_v=None,
-                    singular=True,
-                )
-            )
+    append = records.append
+    for f in frequencies:
+        omega = two_pi * f
+        if model == "lossless":
+            theta = omega * length * sqrt_lc
+            cos_t = math.cos(theta)
+            sin_t = math.sin(theta)
+            a = d = complex(cos_t, 0.0)
+            b = complex(0.0, zc_lossless * sin_t)
+            c = complex(0.0, sin_t / zc_lossless)
+        elif model == "exact":
+            z = complex(r, omega * L)
+            y_line = complex(g, omega * C)
+            zc = cmath.sqrt(z / y_line)
+            gl = cmath.sqrt(z * y_line) * length
+            a = d = cmath.cosh(gl)
+            sh = cmath.sinh(gl)
+            b = zc * sh
+            c = sh / zc
+        else:
+            tp = pi_cascade_oracle(line, length, Frequency(f), cfg.pi_sections)
+            a, b, c, d = tp.a, tp.b, tp.c, tp.d
+        y = complex(g_load, omega * c_load)
+        den = a + b * y
+        if den == 0 or abs(den) < _SINGULARITY_REL * abs(a):
+            append(SweepRecord(f, None, None, None, vs_mag, None, None, True))
             continue
-        result = complex_power_accounting(state)
-        records.append(
-            SweepRecord(
-                f=f,
-                p_r=result.p_r,
-                q_r=result.q_r,
-                q_line=result.q_line,
-                vs_mag=abs(state.vs),
-                vr_mag=abs(state.vr),
-                delta_v=result.delta_v,
-                singular=False,
-            )
-        )
+        vr = vs / den
+        ir = y * vr
+        is_ = c * vr + d * ir
+        s_r = vr * ir.conjugate()
+        q_r = s_r.imag
+        vr_mag = abs(vr)
+        if vr_mag == 0.0:  # as voltage_regulation rejects it
+            raise ValueError("vr_mag must be nonzero")
+        append(SweepRecord(
+            f, s_r.real, q_r, (vs * is_.conjugate()).imag - q_r,
+            vs_mag, vr_mag, (vs_mag - vr_mag) / vr_mag, False,
+        ))
     return records
 
 

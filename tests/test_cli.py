@@ -12,7 +12,7 @@ import pytest
 from tunedline import run_sweep
 from tunedline.cli import main
 from tunedline.config import bundled_config_path, load_sweep_config
-from tunedline.reporting import read_sweep_csv, to_csv_rows
+from tunedline.reporting import CSV_FIELDS, read_sweep_csv, three_phase_row
 
 RESONANT_CONFIG = """
 [line]
@@ -122,6 +122,20 @@ class TestSolveCommand:
     def test_missing_config_exits_2(self, capsys):
         assert main(["solve", "--config", "nope.ini", "--frequency", "50"]) == 2
 
+    @pytest.mark.parametrize("frequency", ["0", "-5", "nan", "inf"])
+    def test_bad_frequency_exits_2(self, capsys, frequency):
+        assert main(["solve", "--config", "experiment_500km", "--frequency", frequency]) == 2
+        assert "frequency" in capsys.readouterr().err
+
+    def test_solve_matches_sweep_row(self, capsys):
+        # solve is a one-point sweep: its report is the sweep's CSV row
+        cfg = load_sweep_config(bundled_config_path("experiment_500km"))
+        assert main(["solve", "--config", "experiment_500km", "--frequency", "437",
+                     "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        row = [three_phase_row(r) for r in run_sweep(cfg) if r.f == 437.0][0]
+        assert report == dict(zip(CSV_FIELDS, row))
+
 
 class TestSweepCommand:
     def test_outputs_and_dips(self, capsys, tmp_path):
@@ -151,7 +165,7 @@ class TestSweepCommand:
         out = tmp_path / "rt"
         assert main(["sweep", "--config", "experiment_500km", "--out", str(out)]) == 0
         cfg = load_sweep_config(bundled_config_path("experiment_500km"))
-        expected_rows = to_csv_rows(run_sweep(cfg))
+        expected_rows = [three_phase_row(r) for r in run_sweep(cfg)]
         assert read_sweep_csv(out / "records.csv") == expected_rows
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
@@ -193,9 +207,31 @@ class TestSweepCommand:
         out = tmp_path / "res"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
         rows = read_sweep_csv(out / "records.csv")
-        singular = [r for r in rows if r.singular]
-        assert [r.f_hz for r in singular] == [75.0]
-        assert singular[0].p_r_mw is None and singular[0].vr_kv is None
+        singular = [r for r in rows if r[7]]
+        assert [r[0] for r in singular] == [75.0]
+        _, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = singular[0]
+        assert p_r_mw is None and q_r_mvar is None and q_line_mvar is None
+        assert vr_kv is None and delta_v is None
+        assert vs_kv == pytest.approx(220.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("voltage = 220 kV", "voltage = nan kV"),
+            ("voltage = 220 kV", "voltage = inf kV"),
+            ("rated_p = 100 MW", "rated_p = nan MW"),
+            ("f_end = 1000 Hz", "f_end = inf Hz"),
+        ],
+    )
+    def test_non_finite_input_exits_2_without_output(self, capsys, tmp_path, old, new):
+        text = bundled_config_path("experiment_500km").read_text()
+        assert old in text
+        cfg_file = tmp_path / "bad.ini"
+        cfg_file.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
 
     def test_unwritable_output_exits_4(self, capsys, tmp_path):
         blocker = tmp_path / "file"

@@ -71,6 +71,15 @@ class TestLoadSpec:
         with pytest.raises(ValueError):
             LoadSpec.from_impedance(0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            LoadSpec.from_admittance(bad)
+        with pytest.raises(ValueError):
+            LoadSpec.from_admittance(0.0, bad)
+        with pytest.raises(ValueError):
+            LoadSpec.from_rated_capacitor(100e6, 220e3, 50.0, g_load=bad)
+
 
 class TestSolveReceivingEnd:
     def test_identity_line_passthrough(self):

@@ -5,16 +5,25 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tunedline import (
     Frequency,
+    LineParameters,
     LoadSpec,
+    ResonanceError,
     SweepConfig,
     SweepRecord,
     abcd_exact,
+    abcd_lossless,
+    complex_power_accounting,
     default_line,
     detect_tuning_dips,
+    pi_cascade_oracle,
     run_sweep,
+    solve_receiving_end,
+    sweep_points,
 )
 
 LINE = default_line()
@@ -65,6 +74,14 @@ class TestSweepConfig:
             experiment_config(500.0, model="spice")
         with pytest.raises(ValueError):
             experiment_config(500.0, model="pi-cascade", pi_sections=0)
+
+    @pytest.mark.parametrize(
+        "field", ["source_voltage", "f_start", "f_end"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValueError):
+            experiment_config(500.0, **{field: bad})
 
     def test_lossless_model_requires_lossless_line(self):
         lossy = type(LINE)(L=LINE.L, C=LINE.C, r=0.01)
@@ -232,3 +249,101 @@ class TestDetectTuningDips:
         dips = detect_tuning_dips(records, 500.0, 3e5)
         assert all(d.f_detected != 294.0 and d.f_detected != 296.0 for d in dips)
         assert any(d.n_matched == 1 and d.f_detected == 300.0 for d in dips)
+
+
+# --- the fused loop against the scalar oracle --------------------------------
+
+
+def oracle_record(cfg: SweepConfig, f: float) -> SweepRecord:
+    """The record abcd_* -> solve_receiving_end -> complex_power_accounting give."""
+    freq = Frequency(f)
+    if cfg.model == "lossless":
+        line = abcd_lossless(cfg.line, cfg.length, freq)
+    elif cfg.model == "exact":
+        line = abcd_exact(cfg.line, cfg.length, freq)
+    else:
+        line = pi_cascade_oracle(cfg.line, cfg.length, freq, cfg.pi_sections)
+    vs = complex(cfg.source_voltage / math.sqrt(3.0), 0.0)
+    try:
+        state = solve_receiving_end(line, vs, cfg.load, freq)
+    except ResonanceError:
+        return SweepRecord(f, None, None, None, abs(vs), None, None, True)
+    result = complex_power_accounting(state)
+    return SweepRecord(
+        f, result.p_r, result.q_r, result.q_line,
+        abs(state.vs), abs(state.vr), result.delta_v, False,
+    )
+
+
+# load capacitance that puts a + b*y = 0 exactly at 75 Hz on the default line
+C_RESONANT_75HZ = 1.0 / (300.0 * 2.0 * math.pi * 75.0)
+
+
+@st.composite
+def sweep_configs(draw) -> SweepConfig:
+    model = draw(st.sampled_from(("lossless", "exact", "pi-cascade")))
+    lossy = model != "lossless" and draw(st.booleans())
+    line = LineParameters(
+        L=draw(st.floats(min_value=5e-4, max_value=5e-3)),
+        C=draw(st.floats(min_value=5e-9, max_value=5e-8)),
+        r=draw(st.floats(min_value=0.0, max_value=0.1)) if lossy else 0.0,
+        g=draw(st.floats(min_value=0.0, max_value=1e-7)) if lossy else 0.0,
+    )
+    # a pure capacitor (g_load = 0) resonates with the line somewhere in band
+    load = LoadSpec.from_admittance(
+        draw(st.sampled_from((0.0, 1e-3)) | st.floats(min_value=0.0, max_value=1e-2)),
+        draw(st.floats(min_value=0.0, max_value=1e-4)),
+    )
+    f_start = draw(st.floats(min_value=1.0, max_value=500.0))
+    return SweepConfig(
+        line=line,
+        length=draw(st.floats(min_value=10.0, max_value=2000.0)),
+        source_voltage=draw(st.floats(min_value=1e3, max_value=1e6)),
+        load=load,
+        f_start=f_start,
+        f_end=f_start + draw(st.floats(min_value=1.0, max_value=2000.0)),
+        n_points=draw(st.integers(min_value=2, max_value=60)),
+        model=model,
+        pi_sections=draw(st.integers(min_value=1, max_value=8)),
+    )
+
+
+@given(cfg=sweep_configs())
+@example(cfg=experiment_config(
+    500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ),
+    f_start=74.0, f_end=76.0, n_points=3,
+))
+@example(cfg=experiment_config(
+    500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ),
+    f_start=74.0, f_end=76.0, n_points=3, model="exact",
+))
+@example(cfg=experiment_config(
+    # |a + b*y| / |a| from 3e-8 down to 0 and back: near misses either
+    # side of the exact hit, so a moved threshold changes the flags
+    500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ),
+    f_start=75.0 - 1e-6, f_end=75.0 + 1e-6, n_points=5,
+))
+@example(cfg=experiment_config(
+    # |a + b*y| / |a| of 7e-10 and 3e-10: inside the 1e-9 threshold
+    500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ),
+    f_start=75.0 - 2e-8, f_end=75.0 + 2e-8, n_points=5,
+))
+@example(cfg=experiment_config(
+    500.0, load=LoadSpec.from_admittance(0.0, 1e-6), f_start=389.0, f_end=390.0, n_points=41,
+))
+@settings(max_examples=300, deadline=None)
+def test_property_fused_loop_is_bit_identical_to_scalar_oracle(cfg):
+    records = run_sweep(cfg)
+    assert len(records) == cfg.n_points
+    for rec, f in zip(records, cfg.grid()):
+        # == on floats: the loop must reproduce the oracle bit for bit,
+        # and flag exactly the points where the oracle raises ResonanceError
+        assert rec == oracle_record(cfg, f)
+
+
+def test_sweep_points_solves_arbitrary_frequencies():
+    cfg = experiment_config(500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ))
+    records = sweep_points(cfg, [75.0, 437.3, 60.0])
+    assert [r.f for r in records] == [75.0, 437.3, 60.0]
+    assert [r.singular for r in records] == [True, False, False]
+    assert records == [oracle_record(cfg, f) for f in (75.0, 437.3, 60.0)]
