@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tunedline import (
+    RECIPROCITY_TOL,
     Frequency,
     LineParameters,
     TwoPort,
@@ -29,6 +30,9 @@ LINE = default_line()
 # Same profile with the capacitance rounded to five digits, as a line
 # datasheet would quote it.
 LINE_ROUNDED = LineParameters(L=1.0e-3, C=1.1111e-8)
+
+# Same profile with series and shunt losses.
+LINE_LOSSY = LineParameters(L=1.0e-3, C=1.0 / 9.0e7, r=0.03, g=5e-9)
 
 
 def test_default_profile_constants():
@@ -254,6 +258,44 @@ class TestPiCascadeOracle:
             for n in (10, 100, 1000)
         ]
         assert errors[0] > errors[1] > errors[2]
+
+    @pytest.mark.parametrize("params", [LINE, LINE_LOSSY], ids=["lossless", "lossy"])
+    def test_matches_literal_chain(self, params):
+        for f in (50.0, 137.9, 300.0, 437.3, 600.0, 1000.0):
+            freq = Frequency(f)
+            for n in (1, 2):
+                assert pi_cascade_oracle(params, 500.0, freq, n) == literal_chain(
+                    params, 500.0, freq, n
+                )
+            for n in (3, 7, 8, 100, 1000):
+                error = twoport_max_error(
+                    pi_cascade_oracle(params, 500.0, freq, n),
+                    literal_chain(params, 500.0, freq, n),
+                )
+                assert error <= 1e-12, (f, n, error)
+
+    @pytest.mark.parametrize("params", [LINE, LINE_LOSSY], ids=["lossless", "lossy"])
+    @pytest.mark.parametrize("f", [437.3, 1000.0])
+    def test_second_order_convergence(self, params, f):
+        # error * N**2 is constant while truncation dominates; past 1e5
+        # sections roundoff takes over (|AD-BC-1| reaches 9.8e-11 at 1e6)
+        freq = Frequency(f)
+        exact = abcd_exact(params, 500.0, freq)
+        scaled = []
+        for n in (10**2, 10**3, 10**4, 10**5):
+            tp = pi_cascade_oracle(params, 500.0, freq, n)
+            assert tp.reciprocity_defect() < RECIPROCITY_TOL, (n, tp.reciprocity_defect())
+            scaled.append(twoport_max_error(tp, exact) * n * n)
+        assert max(scaled) <= 1.01 * min(scaled), scaled
+
+
+def literal_chain(params: LineParameters, length: float, freq: Frequency, n: int) -> TwoPort:
+    """n nominal-pi sections of length/n multiplied one at a time."""
+    section = nominal_pi(params, length / n, freq)
+    result = section
+    for _ in range(n - 1):
+        result = result @ section
+    return result
 
 
 # --- randomized properties -------------------------------------------------
