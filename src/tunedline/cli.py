@@ -20,14 +20,14 @@ from .reporting import (
     CSV_FIELDS,
     build_manifest,
     dips_report_json,
+    format_plot_data,
+    format_records_json,
     format_sweep_csv,
     three_phase_row,
     write_text_atomic,
 )
 from .sweep import detect_tuning_dips, run_sweep, sweep_points
 from .tuning import DEFAULT_VELOCITY_KM_S, tuned_lengths, tuning_frequencies
-
-_PLOT_QUANTITIES = ("p_r_mw", "q_r_mvar", "q_line_mvar")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,9 +121,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if record.singular:
         raise ResonanceError(f"line-load resonance at f = {frequency} Hz")
     row = three_phase_row(record)
-    payload = dict(zip(CSV_FIELDS, row))
+    report = json.dumps(dict(zip(CSV_FIELDS, row)), indent=2)
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(report)
     else:
         f_hz, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = row
         print(f"f        = {f_hz:g} Hz")
@@ -135,7 +135,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"|Vr|     = {vr_kv:.6g} kV")
         print(f"delta_v  = {delta_v:.6g}")
     if args.out:
-        write_text_atomic(args.out, json.dumps(payload, indent=2) + "\n")
+        write_text_atomic(args.out, report + "\n")
     return 0
 
 
@@ -149,13 +149,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     csv_path = out_dir / "records.csv"
-    write_text_atomic(csv_path, format_sweep_csv(rows))
+    csv_text = format_sweep_csv(rows)
+    write_text_atomic(csv_path, csv_text)
     outputs = [str(csv_path)]
 
     if args.format == "json":
         json_path = out_dir / "records.json"
-        records_json = json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2)
-        write_text_atomic(json_path, records_json + "\n")
+        write_text_atomic(json_path, format_records_json(rows))
         outputs.append(str(json_path))
 
     dips_path = out_dir / "dips.json"
@@ -163,15 +163,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     outputs.append(str(dips_path))
 
     if args.plot_data:
-        for quantity in _PLOT_QUANTITIES:
-            column = CSV_FIELDS.index(quantity)
-            lines = [f"# f_hz {quantity}"]
-            for row in rows:
-                value = row[column]
-                if value is not None:
-                    lines.append(f"{format(row[0], '.17g')} {format(value, '.17g')}")
+        for quantity, text in format_plot_data(csv_text).items():
             dat_path = out_dir / f"{quantity}.dat"
-            write_text_atomic(dat_path, "\n".join(lines) + "\n")
+            write_text_atomic(dat_path, text)
             outputs.append(str(dat_path))
 
     manifest = build_manifest(cfg, outputs)

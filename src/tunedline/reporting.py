@@ -1,4 +1,4 @@
-"""Result serialization: sweep CSV, dips report, run manifest, plot data.
+"""Result serialization: sweep CSV, records JSON, plot data, dips report, manifest.
 
 The library works per phase; every output reports three-phase totals in
 MW/MVAr and line-to-line kV.  `three_phase_row` is the one place that
@@ -14,6 +14,12 @@ Floats are written with 17 significant digits so parsing a file
 reproduces the written values exactly.  Singular rows keep f_hz, vs_kv
 and the flag and leave the other cells empty.
 
+records.json holds the same rows as an indent-2 JSON array of objects
+keyed by the CSV header, with shortest-repr floats (`float.__repr__`, as
+`json.dumps` writes them) and null for the empty cells.  The plot files
+are `f_hz value` pairs that reuse the CSV's 17-digit cells verbatim, one
+line per non-singular row.
+
 All writers go through a .partial temp file and rename on success, so an
 interrupted run never leaves a clean-looking half-written output.
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -35,6 +42,8 @@ __all__ = [
     "CSV_FIELDS",
     "three_phase_row",
     "format_sweep_csv",
+    "format_records_json",
+    "format_plot_data",
     "read_sweep_csv",
     "write_text_atomic",
     "dips_report_json",
@@ -50,6 +59,16 @@ _SQRT3 = 3.0**0.5
 
 _ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,false"
 _SINGULAR_ROW = "%.17g,,,,%.17g,,,true"
+
+# records.json array elements, laid out as json.dumps(..., indent=2) lays
+# them out; %r is float.__repr__, the call the JSON encoder makes.
+_JSON_ROW, _JSON_SINGULAR_ROW = (
+    "  {\n" + ",\n".join(f'    "{key}": {cell}' for key, cell in zip(CSV_FIELDS, cells)) + "\n  }"
+    for cells in (
+        ["%r"] * 7 + ["false"],
+        ["%r", "null", "null", "null", "%r", "null", "null", "true"],
+    )
+)
 
 
 def three_phase_row(rec: SweepRecord) -> tuple:
@@ -86,6 +105,50 @@ def format_sweep_csv(rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_records_json(rows: list[tuple]) -> str:
+    """records.json text of three_phase_row rows, newline-terminated.
+
+    Byte-identical to
+    json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n",
+    but each row is one template substitution instead of a pass through
+    the pure-Python encoder that indent=2 selects.
+    """
+    if not rows:
+        return "[]\n"
+    elements = []
+    append = elements.append
+    for row in rows:
+        values = (row[0], row[4]) if row[7] else row[:7]
+        if not math.isfinite(sum(values)):
+            # %r would write nan/inf where JSON has NaN/Infinity, so the
+            # encoder renders this row ([2:-2] drops its "[\n" and "\n]").
+            # The sum is finite only if every cell is; math.fsum would
+            # raise on inf + -inf.
+            append(json.dumps([dict(zip(CSV_FIELDS, row))], indent=2)[2:-2])
+        elif row[7]:
+            append(_JSON_SINGULAR_ROW % values)
+        else:
+            append(_JSON_ROW % values)
+    return "[\n" + ",\n".join(elements) + "\n]\n"
+
+
+def format_plot_data(csv_text: str) -> dict[str, str]:
+    """Plot file text per quantity (p_r_mw, q_r_mvar, q_line_mvar).
+
+    Each text is a "# f_hz <quantity>" header and one "f_hz value" line per
+    non-singular row of csv_text (format_sweep_csv output), newline-
+    terminated.  The lines reuse the CSV's %.17g cells, so no float is
+    formatted twice; singular rows, whose p_r_mw cell is empty, are left out.
+    """
+    rows = [line.split(",", 4) for line in csv_text.splitlines()[1:]]
+    rows = [cells for cells in rows if cells[1]]
+    return {
+        quantity: "\n".join([f"# f_hz {quantity}", *[f"{r[0]} {r[column]}" for r in rows]])
+        + "\n"
+        for column, quantity in enumerate(CSV_FIELDS[1:4], 1)
+    }
+
+
 def read_sweep_csv(path: str | Path) -> list[tuple]:
     """Parse an emitted CSV back into three_phase_row rows (floats round-trip exactly)."""
     text = Path(path).read_text()
@@ -93,16 +156,20 @@ def read_sweep_csv(path: str | Path) -> list[tuple]:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: unexpected CSV header")
 
-    def parse(cell: str) -> float | None:
-        return None if cell == "" else float(cell)
+    flags = {"true": True, "false": False}
+
+    def parse(line: str) -> tuple:
+        cells = line.split(",")
+        if len(cells) != 8 or cells[7] not in flags:
+            raise ValueError(line)
+        return tuple(None if c == "" else float(c) for c in cells[:7]) + (flags[cells[7]],)
 
     rows = []
     for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 8:
-            raise ValueError(f"{path}: malformed row {line!r}")
-        singular = {"true": True, "false": False}[cells[7]]
-        rows.append(tuple(map(parse, cells[:7])) + (singular,))
+        try:
+            rows.append(parse(line))
+        except ValueError:
+            raise ValueError(f"{path}: malformed row {line!r}") from None
     return rows
 
 

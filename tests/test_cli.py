@@ -214,6 +214,27 @@ class TestSweepCommand:
         assert vr_kv is None and delta_v is None
         assert vs_kv == pytest.approx(220.0, rel=1e-12)
 
+    def test_json_format_and_plot_data_with_singular_row(self, capsys, tmp_path):
+        cfg_file = tmp_path / "resonant.ini"
+        cfg_file.write_text(RESONANT_CONFIG)
+        out = tmp_path / "res"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                     "--format", "json", "--plot-data"]) == 0
+        rows = read_sweep_csv(out / "records.csv")
+        records = json.loads((out / "records.json").read_text())
+        assert all(list(r) == list(CSV_FIELDS) for r in records)
+        assert [tuple(r.values()) for r in records] == rows
+        (singular,) = [r for r in records if r["singular"]]
+        assert singular["f_hz"] == 75.0
+        assert [k for k, v in singular.items() if v is None] == [
+            "p_r_mw", "q_r_mvar", "q_line_mvar", "vr_kv", "delta_v"
+        ]
+        for quantity in ("p_r_mw", "q_r_mvar", "q_line_mvar"):
+            dat = (out / f"{quantity}.dat").read_text().splitlines()
+            assert dat[0] == f"# f_hz {quantity}"
+            assert len(dat) == 1 + 951 - 1
+            assert 75.0 not in [float(line.split()[0]) for line in dat[1:]]
+
     @pytest.mark.parametrize(
         "old, new",
         [

@@ -1,14 +1,40 @@
-"""Tests for the three-phase conversion and the CSV row template."""
+"""Tests for the three-phase conversion and the CSV, JSON and plot templates."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import json
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunedline import SweepRecord, three_phase_row
-from tunedline.reporting import CSV_FIELDS, CSV_HEADER, format_sweep_csv
+from tunedline.reporting import (
+    CSV_FIELDS,
+    CSV_HEADER,
+    format_plot_data,
+    format_records_json,
+    format_sweep_csv,
+    read_sweep_csv,
+)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+
+# any float, with the edge cases the encoders treat specially drawn often
+cell = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324,
+         2.2250738585072014e-308, 1.7976931348623157e308]
+    ),
+)
+plain_row = st.tuples(*[cell] * 7).map(lambda values: (*values, False))
+singular_row = st.tuples(cell, cell).map(
+    lambda fv: (fv[0], None, None, None, fv[1], None, None, True)
+)
+rows_strategy = st.lists(st.one_of(plain_row, singular_row), max_size=12)
+
+SINGULAR_75 = (75.0, None, None, None, 220.0, None, None, True)
 
 
 def per_cell_line(row: tuple) -> str:
@@ -58,3 +84,60 @@ def test_three_phase_row_units(values):
 def test_three_phase_row_of_singular_record():
     row = three_phase_row(SweepRecord(75.0, None, None, None, 127e3, None, None, True))
     assert row == (75.0, None, None, None, 127e3 * 3.0**0.5 / 1e3, None, None, True)
+
+
+def records_json_by_encoder(rows: list[tuple]) -> str:
+    """records.json as the JSON encoder writes it."""
+    return json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n"
+
+
+def plot_data_per_cell(rows: list[tuple]) -> dict[str, str]:
+    """The plot files built cell by cell with format(x, '.17g') from the rows."""
+    out = {}
+    for quantity in ("p_r_mw", "q_r_mvar", "q_line_mvar"):
+        column = CSV_FIELDS.index(quantity)
+        lines = [f"# f_hz {quantity}"]
+        for row in rows:
+            value = row[column]
+            if value is not None:
+                lines.append(f"{format(row[0], '.17g')} {format(value, '.17g')}")
+        out[quantity] = "\n".join(lines) + "\n"
+    return out
+
+
+@given(rows=rows_strategy)
+@example(rows=[])
+@example(rows=[SINGULAR_75])
+@example(rows=[SINGULAR_75, (float("nan"), None, None, None, float("inf"), None, None, True)])
+@example(rows=[(1.0, float("inf"), float("-inf"), -0.0, 5e-324, 0.1, float("nan"), False)])
+@settings(max_examples=200)
+def test_records_json_matches_encoder(rows):
+    assert format_records_json(rows) == records_json_by_encoder(rows)
+
+
+@given(rows=rows_strategy)
+@example(rows=[])
+@example(rows=[SINGULAR_75])
+@example(rows=[(1.0, float("inf"), float("-inf"), -0.0, 5e-324, 0.1, float("nan"), False)])
+@settings(max_examples=200)
+def test_plot_data_matches_per_cell_format(rows):
+    plot_data = format_plot_data(format_sweep_csv(rows))
+    assert plot_data == plot_data_per_cell(rows)
+    assert list(plot_data) == ["p_r_mw", "q_r_mvar", "q_line_mvar"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "f_hz,p_r_mw\n",
+        f"{CSV_HEADER}\n50,1,2,3,220,220,0\n",
+        f"{CSV_HEADER}\n50,1,2,3,220,220,0,maybe\n",
+        f"{CSV_HEADER}\n75,,,,220,,,True\n",
+        f"{CSV_HEADER}\n50,1,2,3,220,x,0,false\n",
+    ],
+)
+def test_read_sweep_csv_rejects_malformed_text(tmp_path, text):
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="records.csv"):
+        read_sweep_csv(path)
