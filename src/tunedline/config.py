@@ -208,7 +208,7 @@ def _parse_load(sec: _Section, origin: str) -> LoadSpec:
     kind = sec.get_str("kind")
     try:
         if kind == "admittance":
-            load = LoadSpec.from_admittance(
+            load = LoadSpec(
                 g_load=sec.get("g_load", _CONDUCTANCE, default=0.0),
                 c_load=sec.get("c_load", _CAPACITANCE, default=0.0),
             )

@@ -49,38 +49,25 @@ class ResonanceError(ValueError):
     """
 
 
-LOAD_KINDS = ("admittance", "fixed-capacitance-rated", "impedance")
-
-
 @dataclass(frozen=True)
 class LoadSpec:
-    """Shunt load at the receiving end, reduced to a parallel G-C pair.
+    """Shunt load at the receiving end as a parallel G-C pair.
 
-    Whatever the construction, the effective admittance at frequency f is
+    The effective admittance at frequency f is
     y(f) = g_load + j*2*pi*f*c_load: conductance is frequency-flat while a
-    physical capacitor bank scales linearly with frequency.
+    physical capacitor bank scales linearly with frequency.  The named
+    constructors convert nameplate ratings and resistances to this pair.
     """
 
-    kind: str
     g_load: float = 0.0
     c_load: float = 0.0
-    rated_q: float | None = None
-    rated_v: float | None = None
-    rated_f: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in LOAD_KINDS:
-            raise ValueError(f"unknown load kind {self.kind!r}")
         for name in ("g_load", "c_load"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.g_load < 0.0 or self.c_load < 0.0:
             raise ValueError("g_load and c_load must be non-negative")
-
-    @classmethod
-    def from_admittance(cls, g_load: float, c_load: float = 0.0) -> "LoadSpec":
-        """Direct conductance (S) and capacitance (F)."""
-        return cls(kind="admittance", g_load=g_load, c_load=c_load)
 
     @classmethod
     def from_rated_capacitor(
@@ -99,22 +86,14 @@ class LoadSpec:
         """
         if rated_q <= 0.0 or rated_v <= 0.0 or rated_f <= 0.0:
             raise ValueError("capacitor ratings must all be positive")
-        c_load = rated_q / (2.0 * math.pi * rated_f * rated_v**2)
-        return cls(
-            kind="fixed-capacitance-rated",
-            g_load=g_load,
-            c_load=c_load,
-            rated_q=rated_q,
-            rated_v=rated_v,
-            rated_f=rated_f,
-        )
+        return cls(g_load=g_load, c_load=rated_q / (2.0 * math.pi * rated_f * rated_v**2))
 
     @classmethod
     def from_impedance(cls, resistance: float, c_load: float = 0.0) -> "LoadSpec":
         """Parallel resistance (ohm) and capacitance (F); g_load = 1/R."""
         if resistance <= 0.0:
             raise ValueError("load resistance must be positive")
-        return cls(kind="impedance", g_load=1.0 / resistance, c_load=c_load)
+        return cls(g_load=1.0 / resistance, c_load=c_load)
 
     def admittance(self, freq: Frequency) -> complex:
         """Effective shunt admittance at the given frequency, siemens."""

@@ -24,6 +24,7 @@ from typing import Iterable, NamedTuple
 
 from .linemodel import Frequency, LineParameters, pi_cascade_oracle
 from .powerflow import _SINGULARITY_REL, LoadSpec
+from .tuning import is_tuned
 
 __all__ = [
     "MODEL_CHOICES",
@@ -128,6 +129,11 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRe
     For each point: vr = vs / (a + b*y), ir = y*vr, is = c*vr + d*ir,
     then S_r = vr*conj(ir) and S_s = vs*conj(is).  A point is singular
     when |a + b*y| < 1e-9 * |a|, as in `solve_receiving_end`.
+
+    Raises ValueError naming the frequency when a point's solution leaves
+    the float range: an overflow while building the two-port, |vr| = 0,
+    or a non-finite p_r, q_line or delta_v (one isfinite test of their
+    sum, which is also non-finite whenever q_r or vr_mag is).
     """
     line, length, model = cfg.line, cfg.length, cfg.model
     r, L, g, C = line.r, line.L, line.g, line.C
@@ -139,44 +145,47 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRe
     two_pi = 2.0 * math.pi
     records: list[SweepRecord] = []
     append = records.append
-    for f in frequencies:
-        omega = two_pi * f
-        if model == "lossless":
-            theta = omega * length * sqrt_lc
-            cos_t = math.cos(theta)
-            sin_t = math.sin(theta)
-            a = d = complex(cos_t, 0.0)
-            b = complex(0.0, zc_lossless * sin_t)
-            c = complex(0.0, sin_t / zc_lossless)
-        elif model == "exact":
-            z = complex(r, omega * L)
-            y_line = complex(g, omega * C)
-            zc = cmath.sqrt(z / y_line)
-            gl = cmath.sqrt(z * y_line) * length
-            a = d = cmath.cosh(gl)
-            sh = cmath.sinh(gl)
-            b = zc * sh
-            c = sh / zc
-        else:
-            tp = pi_cascade_oracle(line, length, Frequency(f), cfg.pi_sections)
-            a, b, c, d = tp.a, tp.b, tp.c, tp.d
-        y = complex(g_load, omega * c_load)
-        den = a + b * y
-        if den == 0 or abs(den) < _SINGULARITY_REL * abs(a):
-            append(SweepRecord(f, None, None, None, vs_mag, None, None, True))
-            continue
-        vr = vs / den
-        ir = y * vr
-        is_ = c * vr + d * ir
-        s_r = vr * ir.conjugate()
-        q_r = s_r.imag
-        vr_mag = abs(vr)
-        if vr_mag == 0.0:  # as voltage_regulation rejects it
-            raise ValueError("vr_mag must be nonzero")
-        append(SweepRecord(
-            f, s_r.real, q_r, (vs * is_.conjugate()).imag - q_r,
-            vs_mag, vr_mag, (vs_mag - vr_mag) / vr_mag, False,
-        ))
+    try:
+        for f in frequencies:
+            omega = two_pi * f
+            if model == "lossless":
+                theta = omega * length * sqrt_lc
+                cos_t = math.cos(theta)
+                sin_t = math.sin(theta)
+                a = d = complex(cos_t, 0.0)
+                b = complex(0.0, zc_lossless * sin_t)
+                c = complex(0.0, sin_t / zc_lossless)
+            elif model == "exact":
+                z = complex(r, omega * L)
+                y_line = complex(g, omega * C)
+                zc = cmath.sqrt(z / y_line)
+                gl = cmath.sqrt(z * y_line) * length
+                a = d = cmath.cosh(gl)
+                sh = cmath.sinh(gl)
+                b = zc * sh
+                c = sh / zc
+            else:
+                tp = pi_cascade_oracle(line, length, Frequency(f), cfg.pi_sections)
+                a, b, c, d = tp.a, tp.b, tp.c, tp.d
+            y = complex(g_load, omega * c_load)
+            den = a + b * y
+            if den == 0 or abs(den) < _SINGULARITY_REL * abs(a):
+                append(SweepRecord(f, None, None, None, vs_mag, None, None, True))
+                continue
+            vr = vs / den
+            ir = y * vr
+            is_ = c * vr + d * ir
+            s_r = vr * ir.conjugate()
+            p_r = s_r.real
+            q_r = s_r.imag
+            q_line = (vs * is_.conjugate()).imag - q_r
+            vr_mag = abs(vr)
+            delta_v = (vs_mag - vr_mag) / vr_mag  # ZeroDivisionError on |vr| = 0
+            if not math.isfinite(p_r + q_line + delta_v):
+                raise OverflowError
+            append(SweepRecord(f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, False))
+    except ArithmeticError:
+        raise ValueError(f"solution out of float range at f = {f} Hz") from None
     return records
 
 
@@ -198,8 +207,6 @@ def detect_tuning_dips(
     usable = sum(1 for r in records if not r.singular)
     if usable < 3:
         raise ValueError("need at least 3 non-singular records to detect dips")
-    if len(records) < 2:
-        raise ValueError("need at least 2 records to infer the grid step")
     step = records[1].f - records[0].f
 
     def magnitude(rec: SweepRecord) -> float | None:
@@ -221,9 +228,7 @@ def detect_tuning_dips(
             is_dip = left is not None and right is not None and q < left and q < right
         if not is_dip:
             continue
-        n = max(1, round(2.0 * rec.f * length / velocity))
-        f_harmonic = n * velocity / (2.0 * length)
-        if abs(rec.f - f_harmonic) > 2.0 * step:
-            n = 0
+        _, nearest = is_tuned(length, Frequency(rec.f), velocity)
+        n = nearest.n if abs(rec.f - nearest.value) <= 2.0 * step else 0
         dips.append(TuningDip(f_detected=rec.f, n_matched=n, q_line_at_dip=rec.q_line))
     return dips

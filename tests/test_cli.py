@@ -35,6 +35,41 @@ model = lossless
 """.format(c_load=1.0 / (300.0 * 2.0 * math.pi * 75.0))
 
 
+# A 2000 km line far into its stopband: the exact model's cosh overflows
+# at 2400 Hz, and the lossless pi-cascade(100) product overflows to
+# inf/nan above 12500 Hz (its 12500 Hz row is still finite).
+STOPBAND_CONFIG = """
+[line]
+r = {r} ohm/km
+L = 5 mH/km
+C = 50 nF/km
+length = 2000 km
+
+[load]
+kind = admittance
+g_load = 1 mS
+
+[source]
+voltage = 220 kV
+
+[sweep]
+f_start = {f_start} Hz
+f_end = {f_end} Hz
+n_points = 3
+model = {model}
+"""
+OVERFLOW_CASES = [
+    pytest.param(
+        STOPBAND_CONFIG.format(r=500, f_start=2400, f_end=2500, model="exact"), 2400.0,
+        id="exact",
+    ),
+    pytest.param(
+        STOPBAND_CONFIG.format(r=0, f_start=12500, f_end=25000, model="pi-cascade(100)"),
+        18750.0, id="pi-cascade",
+    ),
+]
+
+
 class TestTuningCommand:
     def test_length_query_table(self, capsys):
         assert main(["tuning", "--length", "500"]) == 0
@@ -126,6 +161,15 @@ class TestSolveCommand:
     def test_bad_frequency_exits_2(self, capsys, frequency):
         assert main(["solve", "--config", "experiment_500km", "--frequency", frequency]) == 2
         assert "frequency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, frequency", OVERFLOW_CASES)
+    def test_overflow_exits_2(self, capsys, tmp_path, text, frequency):
+        cfg_file = tmp_path / "stopband.ini"
+        cfg_file.write_text(text)
+        assert main(["solve", "--config", str(cfg_file), "--frequency", str(frequency)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: solution out of float range at f = {frequency} Hz\n"
 
     def test_solve_matches_sweep_row(self, capsys):
         # solve is a one-point sweep: its report is the sweep's CSV row
@@ -252,6 +296,20 @@ class TestSweepCommand:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("text, frequency", OVERFLOW_CASES)
+    def test_overflow_exits_2_without_output(self, capsys, tmp_path, text, frequency):
+        cfg_file = tmp_path / "stopband.ini"
+        cfg_file.write_text(text)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tunedline", "sweep", "--config", str(cfg_file),
+             "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: solution out of float range at f = {frequency} Hz\n"
         assert not (out / "records.csv").exists()
 
     def test_unwritable_output_exits_4(self, capsys, tmp_path):

@@ -15,6 +15,7 @@ from tunedline.config import (
     parse_sweep_config,
     resolve_config_arg,
 )
+from tunedline.reporting import config_digest
 
 GOOD = """
 [line]
@@ -52,7 +53,6 @@ def test_parse_good_config():
     assert cfg.f_start == 50.0 and cfg.f_end == 1000.0
     assert cfg.n_points == 951
     assert cfg.model == "lossless"
-    assert cfg.load.kind == "fixed-capacitance-rated"
     assert cfg.load.c_load == pytest.approx(
         100e6 / (2.0 * math.pi * 50.0 * (220e3) ** 2), rel=1e-15
     )
@@ -118,6 +118,7 @@ def test_errors_are_config_errors():
         GOOD.replace("length = 500 km", "length = 500 miles"),  # unknown unit
         GOOD.replace("n_points = 951", "n_points = many"),  # bad int
         GOOD.replace("model = lossless", "model = spice"),  # bad model
+        GOOD.replace("kind = fixed-capacitance-rated", "kind = constant-power"),  # bad load kind
         GOOD.replace("f_end = 1 kHz", "f_end = 10 Hz"),  # fails validation
         GOOD.replace("L = 1.0 mH/km", "L = -1.0 mH/km"),  # bad line params
         GOOD + "\n[extra]\nx = 1\n",  # unknown section
@@ -126,6 +127,21 @@ def test_errors_are_config_errors():
     for text in cases:
         with pytest.raises(ConfigError):
             parse_sweep_config(text)
+
+
+def test_digest_hashes_the_resolved_load_only():
+    rated = """kind = fixed-capacitance-rated
+rated_q = 100 MVAr
+rated_v = 220 kV
+rated_f = 50 Hz
+rated_p = 100 MW"""
+
+    def digest(load: str) -> str:
+        return config_digest(parse_sweep_config(GOOD.replace(rated, load)))
+
+    impedance = digest("kind = impedance\nresistance = 0.5 ohm")
+    assert impedance == digest("kind = admittance\ng_load = 2 S")
+    assert impedance != digest("kind = admittance\ng_load = 2 S\nc_load = 1 uF")
 
 
 def test_missing_required_key():

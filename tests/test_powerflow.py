@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -61,11 +62,12 @@ class TestLoadSpec:
             2.0 * math.pi * 50.0 * 1e-6, rel=1e-15
         )
 
+    def test_holds_only_the_shunt_pair(self):
+        assert [f.name for f in fields(LoadSpec)] == ["g_load", "c_load"]
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            LoadSpec(kind="constant-power")
-        with pytest.raises(ValueError):
-            LoadSpec.from_admittance(-1.0)
+            LoadSpec(-1.0)
         with pytest.raises(ValueError):
             LoadSpec.from_rated_capacitor(0.0, 220e3, 50.0)
         with pytest.raises(ValueError):
@@ -74,9 +76,9 @@ class TestLoadSpec:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
-            LoadSpec.from_admittance(bad)
+            LoadSpec(bad)
         with pytest.raises(ValueError):
-            LoadSpec.from_admittance(0.0, bad)
+            LoadSpec(0.0, bad)
         with pytest.raises(ValueError):
             LoadSpec.from_rated_capacitor(100e6, 220e3, 50.0, g_load=bad)
 
@@ -84,7 +86,7 @@ class TestLoadSpec:
 class TestSolveReceivingEnd:
     def test_identity_line_passthrough(self):
         state = solve_receiving_end(
-            TwoPort.identity(), 1.0 + 0.0j, LoadSpec.from_admittance(1.0), Frequency(50.0)
+            TwoPort.identity(), 1.0 + 0.0j, LoadSpec(1.0), Frequency(50.0)
         )
         assert state.vr == pytest.approx(1.0 + 0.0j)
         assert state.ir == pytest.approx(1.0 + 0.0j)
@@ -93,7 +95,7 @@ class TestSolveReceivingEnd:
     def test_minus_identity_preserves_magnitudes(self):
         minus_identity = TwoPort(-1.0 + 0.0j, 0.0j, 0.0j, -1.0 + 0.0j)
         for load in (
-            LoadSpec.from_admittance(0.5, 2e-6),
+            LoadSpec(0.5, 2e-6),
             RATED_CAP,
             LoadSpec.from_impedance(120.0),
         ):
@@ -135,7 +137,7 @@ class TestSolveReceivingEnd:
         # capacitor chosen so a + b*y vanishes at 75 Hz on the 500 km line
         freq = Frequency(75.0)
         c_res = 1.0 / (300.0 * 2.0 * math.pi * 75.0)
-        load = LoadSpec.from_admittance(0.0, c_res)
+        load = LoadSpec(0.0, c_res)
         line = abcd_exact(LINE, 500.0, freq)
         with pytest.raises(ResonanceError):
             solve_receiving_end(line, VS_PHASE + 0.0j, load, freq)
@@ -145,7 +147,7 @@ class TestSolveReceivingEnd:
         line = TwoPort(0.0j, 300.0j, 1j / 300.0, 0.0j)
         with pytest.raises(ResonanceError):
             solve_receiving_end(
-                line, VS_PHASE + 0.0j, LoadSpec.from_admittance(0.0), Frequency(150.0)
+                line, VS_PHASE + 0.0j, LoadSpec(0.0), Frequency(150.0)
             )
 
 
@@ -210,7 +212,7 @@ class TestComplexPowerAccounting:
     def test_capacitive_load_behind_minus_identity(self):
         minus_identity = TwoPort(-1.0 + 0.0j, 0.0j, 0.0j, -1.0 + 0.0j)
         state = solve_receiving_end(
-            minus_identity, -1.0 + 0.0j, LoadSpec.from_admittance(0.0, 1.0), Frequency(1.0 / (2.0 * math.pi))
+            minus_identity, -1.0 + 0.0j, LoadSpec(0.0, 1.0), Frequency(1.0 / (2.0 * math.pi))
         )
         # vr = 1, ir = j: purely capacitive load draws q_r = -1
         assert state.vr == pytest.approx(1.0 + 0.0j, rel=1e-12)
@@ -225,7 +227,7 @@ class TestComplexPowerAccounting:
     @pytest.mark.parametrize("f_tuned,sections", [(300.0, 1000), (600.0, 1000), (900.0, 3000)])
     def test_q_line_matches_pi_cascade_oracle_at_tuning(self, f_tuned, sections):
         freq = Frequency(f_tuned)
-        for load in (RATED_CAP, LoadSpec.from_admittance(2e-3, RATED_CAP.c_load)):
+        for load in (RATED_CAP, LoadSpec(2e-3, RATED_CAP.c_load)):
             exact = _accounting(abcd_exact(LINE, 500.0, freq), load, freq)
             pi = _accounting(pi_cascade_oracle(LINE, 500.0, freq, sections), load, freq)
             scale = max(abs(exact.q_r), 1.0)
@@ -280,7 +282,7 @@ def test_property_tuned_reactive_never_positive(vr, delta, x):
 
 
 load_specs = st.builds(
-    LoadSpec.from_admittance,
+    LoadSpec,
     st.floats(min_value=1e-6, max_value=1.0),
     st.floats(min_value=0.0, max_value=1e-4),
 )

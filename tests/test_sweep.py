@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunedline import (
+    RECIPROCITY_TOL,
     Frequency,
     LineParameters,
     LoadSpec,
@@ -20,6 +22,7 @@ from tunedline import (
     complex_power_accounting,
     default_line,
     detect_tuning_dips,
+    nominal_pi,
     pi_cascade_oracle,
     run_sweep,
     solve_receiving_end,
@@ -123,7 +126,7 @@ class TestRunSweep:
         c_res = 1.0 / (300.0 * 2.0 * math.pi * 75.0)
         cfg = experiment_config(
             500.0,
-            load=LoadSpec.from_admittance(0.0, c_res),
+            load=LoadSpec(0.0, c_res),
             f_start=74.0,
             f_end=76.0,
             n_points=3,
@@ -290,7 +293,7 @@ def sweep_configs(draw) -> SweepConfig:
         g=draw(st.floats(min_value=0.0, max_value=1e-7)) if lossy else 0.0,
     )
     # a pure capacitor (g_load = 0) resonates with the line somewhere in band
-    load = LoadSpec.from_admittance(
+    load = LoadSpec(
         draw(st.sampled_from((0.0, 1e-3)) | st.floats(min_value=0.0, max_value=1e-2)),
         draw(st.floats(min_value=0.0, max_value=1e-4)),
     )
@@ -310,26 +313,26 @@ def sweep_configs(draw) -> SweepConfig:
 
 @given(cfg=sweep_configs())
 @example(cfg=experiment_config(
-    500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ),
+    500.0, load=LoadSpec(0.0, C_RESONANT_75HZ),
     f_start=74.0, f_end=76.0, n_points=3,
 ))
 @example(cfg=experiment_config(
-    500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ),
+    500.0, load=LoadSpec(0.0, C_RESONANT_75HZ),
     f_start=74.0, f_end=76.0, n_points=3, model="exact",
 ))
 @example(cfg=experiment_config(
     # |a + b*y| / |a| from 3e-8 down to 0 and back: near misses either
     # side of the exact hit, so a moved threshold changes the flags
-    500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ),
+    500.0, load=LoadSpec(0.0, C_RESONANT_75HZ),
     f_start=75.0 - 1e-6, f_end=75.0 + 1e-6, n_points=5,
 ))
 @example(cfg=experiment_config(
     # |a + b*y| / |a| of 7e-10 and 3e-10: inside the 1e-9 threshold
-    500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ),
+    500.0, load=LoadSpec(0.0, C_RESONANT_75HZ),
     f_start=75.0 - 2e-8, f_end=75.0 + 2e-8, n_points=5,
 ))
 @example(cfg=experiment_config(
-    500.0, load=LoadSpec.from_admittance(0.0, 1e-6), f_start=389.0, f_end=390.0, n_points=41,
+    500.0, load=LoadSpec(0.0, 1e-6), f_start=389.0, f_end=390.0, n_points=41,
 ))
 @settings(max_examples=300, deadline=None)
 def test_property_fused_loop_is_bit_identical_to_scalar_oracle(cfg):
@@ -342,8 +345,86 @@ def test_property_fused_loop_is_bit_identical_to_scalar_oracle(cfg):
 
 
 def test_sweep_points_solves_arbitrary_frequencies():
-    cfg = experiment_config(500.0, load=LoadSpec.from_admittance(0.0, C_RESONANT_75HZ))
+    cfg = experiment_config(500.0, load=LoadSpec(0.0, C_RESONANT_75HZ))
     records = sweep_points(cfg, [75.0, 437.3, 60.0])
     assert [r.f for r in records] == [75.0, 437.3, 60.0]
     assert [r.singular for r in records] == [True, False, False]
     assert records == [oracle_record(cfg, f) for f in (75.0, 437.3, 60.0)]
+
+
+# --- stopband pi-cascade rows against an exact rational chain --------------
+
+
+def _q(z: complex) -> tuple[Fraction, Fraction]:
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _conj(x):
+    return x[0], -x[1]
+
+
+def _div(x, y):
+    num = _mul(x, _conj(y))
+    den = y[0] ** 2 + y[1] ** 2
+    return num[0] / den, num[1] / den
+
+
+def _to_complex(x) -> complex:
+    return complex(float(x[0]), float(x[1]))
+
+
+def rational_chain_record(cfg: SweepConfig, f: float) -> tuple[float, ...]:
+    """(p_r, q_r, q_line, vr_mag, delta_v, |S|) from exact arithmetic on the
+    float nominal-pi section: the N-section product, the solve and the
+    power accounting are all done in Fractions, rounded once at the end."""
+    sec = nominal_pi(cfg.line, cfg.length / cfg.pi_sections, Frequency(f))
+    a, b, c, d = _q(sec.a), _q(sec.b), _q(sec.c), _q(sec.d)
+    pa, pb, pc, pd = a, b, c, d
+    for _ in range(cfg.pi_sections - 1):
+        pa, pb, pc, pd = (
+            _add(_mul(pa, a), _mul(pb, c)), _add(_mul(pa, b), _mul(pb, d)),
+            _add(_mul(pc, a), _mul(pd, c)), _add(_mul(pc, b), _mul(pd, d)),
+        )
+    y = _q(complex(cfg.load.g_load, 2.0 * math.pi * f * cfg.load.c_load))
+    vs = _q(complex(cfg.source_voltage / math.sqrt(3.0), 0.0))
+    vr = _div(vs, _add(pa, _mul(pb, y)))
+    ir = _mul(y, vr)
+    is_ = _add(_mul(pc, vr), _mul(pd, ir))
+    s_r = _mul(vr, _conj(ir))
+    s_s = _mul(vs, _conj(is_))
+    vr_mag = abs(_to_complex(vr))
+    vs_mag = abs(_to_complex(vs))
+    apparent = max(abs(_to_complex(s_r)), abs(_to_complex(s_s)))
+    return (float(s_r[0]), float(s_r[1]), float(s_s[1] - s_r[1]),
+            vr_mag, (vs_mag - vr_mag) / vr_mag, apparent)
+
+
+@pytest.mark.parametrize("sections", [4, 7])
+def test_stopband_pi_cascade_rows_match_rational_chain(sections):
+    # |ZY| of one section is far above 4: the float product's entries reach
+    # ~1e16 and its |AD-BC-1| misses RECIPROCITY_TOL from cancellation in
+    # ad - bc alone, yet every row equals the exact product of the same
+    # float sections
+    line = LineParameters(L=5e-3, C=50e-9)
+    cfg = SweepConfig(
+        line=line, length=2000.0, source_voltage=220e3, load=LoadSpec(1e-3),
+        f_start=2400.0, f_end=2500.0, n_points=11, model="pi-cascade",
+        pi_sections=sections,
+    )
+    product = pi_cascade_oracle(line, 2000.0, Frequency(2500.0), sections)
+    assert product.reciprocity_defect() > 1e6 * RECIPROCITY_TOL
+    for rec in run_sweep(cfg):
+        assert not rec.singular
+        p_r, q_r, q_line, vr_mag, delta_v, apparent = rational_chain_record(cfg, rec.f)
+        assert abs(rec.vr_mag - vr_mag) <= 1e-12 * vr_mag
+        assert abs(rec.delta_v - delta_v) <= 1e-12 * abs(delta_v)
+        for got, want in ((rec.p_r, p_r), (rec.q_r, q_r), (rec.q_line, q_line)):
+            assert abs(got - want) <= 1e-12 * apparent
