@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -142,7 +141,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_sweep_config(resolve_config_arg(args.config))
     records = run_sweep(cfg)
-    dips = detect_tuning_dips(records, cfg.length, cfg.line.velocity)
+    n_singular = sum(r.singular for r in records)
+    usable = len(records) - n_singular  # dip detection needs 3; fewer report no dips
+    dips = detect_tuning_dips(records, cfg.length, cfg.line.velocity) if usable >= 3 else []
     rows = list(map(three_phase_row, records))
 
     out_dir = Path(args.out)
@@ -169,9 +170,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             outputs.append(str(dat_path))
 
     manifest = build_manifest(cfg, outputs)
-    write_text_atomic(out_dir / "manifest.json", json.dumps(asdict(manifest), indent=2) + "\n")
+    write_text_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    n_singular = sum(r.singular for r in records)
     print(f"wrote {len(records)} records ({n_singular} singular) to {csv_path}")
     matched = [d for d in dips if d.n_matched > 0]
     print(f"tuning dips: {len(matched)} matched, {len(dips) - len(matched)} unmatched")

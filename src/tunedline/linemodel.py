@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 __all__ = [
     "LineParameters",
@@ -48,23 +49,22 @@ __all__ = [
 RECIPROCITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LineParameters:
+# A value type that validates subclasses a plain namedtuple and checks its
+# arguments in __new__, whose signature alone declares field types and defaults.
+class LineParameters(namedtuple("LineParameters", "L C r g")):
     """Per-unit-length line constants: series r + jwL, shunt g + jwC (per km)."""
 
-    L: float
-    C: float
-    r: float = 0.0
-    g: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("L", "C", "r", "g"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, L: float, C: float, r: float = 0.0, g: float = 0.0) -> "LineParameters":
+        for name, value in (("L", L), ("C", C), ("r", r), ("g", g)):
+            if not math.isfinite(value):
                 raise ValueError(f"line parameter {name} must be finite")
-        if self.L <= 0.0 or self.C <= 0.0:
+        if L <= 0.0 or C <= 0.0:
             raise ValueError("L and C must be positive")
-        if self.r < 0.0 or self.g < 0.0:
+        if r < 0.0 or g < 0.0:
             raise ValueError("r and g must be non-negative")
+        return super().__new__(cls, L, C, r, g)
 
     @property
     def is_lossless(self) -> bool:
@@ -99,31 +99,29 @@ def default_line() -> LineParameters:
     return LineParameters(L=1.0e-3, C=1.0 / 9.0e7)
 
 
-@dataclass(frozen=True)
-class Frequency:
+class Frequency(namedtuple("Frequency", "f")):
     """Operating frequency; exposes both cyclic f (Hz) and angular omega."""
 
-    f: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.f) and self.f > 0.0):
+    def __new__(cls, f: float) -> "Frequency":
+        if not (math.isfinite(f) and f > 0.0):
             raise ValueError("frequency must be positive and finite")
+        return super().__new__(cls, f)
 
     @property
     def omega(self) -> float:
         return 2.0 * math.pi * self.f
 
 
-@dataclass(frozen=True)
-class WaveQuantities:
+class WaveQuantities(NamedTuple):
     """Propagation constant gamma (1/km) and characteristic impedance zc (ohm)."""
 
     gamma: complex
     zc: complex
 
 
-@dataclass(frozen=True)
-class TwoPort:
+class TwoPort(NamedTuple):
     """Transmission (ABCD) matrix entries: a, d dimensionless, b ohm, c siemens."""
 
     a: complex

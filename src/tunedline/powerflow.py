@@ -20,7 +20,8 @@ the element absorbs inductive VArs, so a capacitive load draws q_r < 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .linemodel import Frequency, TwoPort
 
@@ -49,8 +50,7 @@ class ResonanceError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class LoadSpec:
+class LoadSpec(namedtuple("LoadSpec", "g_load c_load")):
     """Shunt load at the receiving end as a parallel G-C pair.
 
     The effective admittance at frequency f is
@@ -59,15 +59,15 @@ class LoadSpec:
     constructors convert nameplate ratings and resistances to this pair.
     """
 
-    g_load: float = 0.0
-    c_load: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("g_load", "c_load"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, g_load: float = 0.0, c_load: float = 0.0) -> "LoadSpec":
+        for name, value in (("g_load", g_load), ("c_load", c_load)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.g_load < 0.0 or self.c_load < 0.0:
+        if g_load < 0.0 or c_load < 0.0:
             raise ValueError("g_load and c_load must be non-negative")
+        return super().__new__(cls, g_load, c_load)
 
     @classmethod
     def from_rated_capacitor(
@@ -100,8 +100,7 @@ class LoadSpec:
         return complex(self.g_load, freq.omega * self.c_load)
 
 
-@dataclass(frozen=True)
-class TerminalState:
+class TerminalState(NamedTuple):
     """The four terminal phasors of a solved line (V and A, RMS per phase)."""
 
     vs: complex
@@ -110,24 +109,20 @@ class TerminalState:
     ir: complex
 
 
-@dataclass(frozen=True)
-class PowerTransferInputs:
+class PowerTransferInputs(namedtuple("PowerTransferInputs", "vs_mag vr_mag delta x")):
     """Inputs to the simplified reactance transfer model."""
 
-    vs_mag: float
-    vr_mag: float
-    delta: float
-    x: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.vs_mag < 0.0 or self.vr_mag < 0.0:
+    def __new__(cls, vs_mag: float, vr_mag: float, delta: float, x: float) -> "PowerTransferInputs":
+        if vs_mag < 0.0 or vr_mag < 0.0:
             raise ValueError("voltage magnitudes must be non-negative")
-        if self.x == 0.0:
+        if x == 0.0:
             raise ValueError("line reactance x must be nonzero")
+        return super().__new__(cls, vs_mag, vr_mag, delta, x)
 
 
-@dataclass(frozen=True)
-class PowerResult:
+class PowerResult(NamedTuple):
     """Receiving-end P and Q, voltage regulation, and line-absorbed Q."""
 
     p_r: float

@@ -30,8 +30,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import __version__
@@ -48,7 +47,6 @@ __all__ = [
     "write_text_atomic",
     "dips_report_json",
     "config_digest",
-    "RunManifest",
     "build_manifest",
 ]
 
@@ -199,23 +197,17 @@ def dips_report_json(dips: list[TuningDip]) -> str:
 
 
 def config_digest(cfg: SweepConfig) -> str:
-    """Content hash of the resolved config; stable across identical runs."""
-    canonical = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
+    """Content hash of the resolved config (nested, sorted-key JSON); stable across runs."""
+    nested = {**cfg._asdict(), "line": cfg.line._asdict(), "load": cfg.load._asdict()}
+    canonical = json.dumps(nested, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    config_digest: str
-    tool_version: str
-    timestamp: str
-    outputs: list[str]
-
-
-def build_manifest(cfg: SweepConfig, outputs: list[str]) -> RunManifest:
-    return RunManifest(
-        config_digest=config_digest(cfg),
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        outputs=list(outputs),
-    )
+def build_manifest(cfg: SweepConfig, outputs: list[str]) -> dict:
+    """manifest.json content: config digest, tool version, UTC timestamp, outputs."""
+    return {
+        "config_digest": config_digest(cfg),
+        "tool_version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+        "outputs": list(outputs),
+    }

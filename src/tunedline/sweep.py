@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, NamedTuple
 
 from .linemodel import Frequency, LineParameters, pi_cascade_oracle
@@ -41,43 +41,56 @@ MODEL_CHOICES = ("exact", "lossless", "pi-cascade")
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+_SWEEP_FIELDS = "line length source_voltage load f_start f_end n_points model pi_sections"
+
+
+class SweepConfig(namedtuple("SweepConfig", _SWEEP_FIELDS)):
     """Full experiment definition: line, load, source and frequency grid.
 
     source_voltage is line-to-line RMS volts; the solver works per phase
     with vs = source_voltage/sqrt(3) at angle zero.  model selects the
     line representation: "exact", "lossless", or "pi-cascade" with
-    pi_sections lumped segments.
+    pi_sections lumped segments.  The grid step must exceed
+    2*ulp(f_end), which keeps the computed grid strictly increasing.
     """
 
-    line: LineParameters
-    length: float
-    source_voltage: float
-    load: LoadSpec
-    f_start: float
-    f_end: float
-    n_points: int
-    model: str = "lossless"
-    pi_sections: int = 100
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.length) and self.length > 0.0):
+    def __new__(
+        cls,
+        line: LineParameters,
+        length: float,
+        source_voltage: float,
+        load: LoadSpec,
+        f_start: float,
+        f_end: float,
+        n_points: int,
+        model: str = "lossless",
+        pi_sections: int = 100,
+    ) -> "SweepConfig":
+        if not (math.isfinite(length) and length > 0.0):
             raise ValueError("length must be positive")
-        if not (math.isfinite(self.source_voltage) and self.source_voltage > 0.0):
+        if not (math.isfinite(source_voltage) and source_voltage > 0.0):
             raise ValueError("source_voltage must be positive and finite")
-        if not (math.isfinite(self.f_start) and math.isfinite(self.f_end)):
+        if not (math.isfinite(f_start) and math.isfinite(f_end)):
             raise ValueError("f_start and f_end must be finite")
-        if not (0.0 < self.f_start < self.f_end):
+        if not (0.0 < f_start < f_end):
             raise ValueError("need 0 < f_start < f_end")
-        if self.n_points < 2:
+        if n_points < 2:
             raise ValueError("n_points must be at least 2")
-        if self.model not in MODEL_CHOICES:
+        if (f_end - f_start) / (n_points - 1) <= 2.0 * math.ulp(f_end):
+            raise ValueError(
+                "frequency step (f_end - f_start)/(n_points - 1) must exceed 2*ulp(f_end)"
+            )
+        if model not in MODEL_CHOICES:
             raise ValueError(f"model must be one of {MODEL_CHOICES}")
-        if self.model == "lossless" and not self.line.is_lossless:
+        if model == "lossless" and not line.is_lossless:
             raise ValueError("lossless model requires r = 0 and g = 0")
-        if self.pi_sections < 1:
+        if pi_sections < 1:
             raise ValueError("pi_sections must be at least 1")
+        return super().__new__(
+            cls, line, length, source_voltage, load, f_start, f_end, n_points, model, pi_sections
+        )
 
     def grid(self) -> list[float]:
         """Uniform frequency grid, endpoints inclusive."""
@@ -104,8 +117,7 @@ class SweepRecord(NamedTuple):
     singular: bool
 
 
-@dataclass(frozen=True)
-class TuningDip:
+class TuningDip(NamedTuple):
     """A detected local minimum of |q_line|, matched to harmonic n (0 if none)."""
 
     f_detected: float
@@ -131,9 +143,10 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRe
     when |a + b*y| < 1e-9 * |a|, as in `solve_receiving_end`.
 
     Raises ValueError naming the frequency when a point's solution leaves
-    the float range: an overflow while building the two-port, |vr| = 0,
-    or a non-finite p_r, q_line or delta_v (one isfinite test of their
-    sum, which is also non-finite whenever q_r or vr_mag is).
+    the float range: an overflow or an infinite phase angle while building
+    the two-port, |vr| = 0, or a non-finite p_r, q_line or delta_v (one
+    isfinite test of their sum, which is also non-finite whenever q_r or
+    vr_mag is).
     """
     line, length, model = cfg.line, cfg.length, cfg.model
     r, L, g, C = line.r, line.L, line.g, line.C
@@ -184,7 +197,7 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRe
             if not math.isfinite(p_r + q_line + delta_v):
                 raise OverflowError
             append(SweepRecord(f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, False))
-    except ArithmeticError:
+    except (ArithmeticError, ValueError):  # math.cos(inf) raises ValueError
         raise ValueError(f"solution out of float range at f = {f} Hz") from None
     return records
 

@@ -15,7 +15,7 @@ arbitrary (length, frequency) pair sits to the nearest harmonic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .linemodel import Frequency
 
@@ -31,8 +31,7 @@ __all__ = [
 DEFAULT_VELOCITY_KM_S = 3.0e5
 
 
-@dataclass(frozen=True)
-class TuningSolution:
+class TuningSolution(NamedTuple):
     """Harmonic index n with its tuned frequency (Hz) or tuned length (km)."""
 
     n: int

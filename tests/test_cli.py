@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -66,6 +67,11 @@ OVERFLOW_CASES = [
     pytest.param(
         STOPBAND_CONFIG.format(r=0, f_start=12500, f_end=25000, model="pi-cascade(100)"),
         18750.0, id="pi-cascade",
+    ),
+    # 2*pi*f overflows to inf at 5e307 Hz, and math.cos(inf) raises ValueError
+    pytest.param(
+        STOPBAND_CONFIG.format(r=0, f_start=50, f_end=1e308, model="lossless"), 5e307,
+        id="infinite-angle",
     ),
 ]
 
@@ -198,6 +204,13 @@ class TestSweepCommand:
         for path in manifest["outputs"]:
             assert (tmp_path / path).exists() or path.startswith(str(out))
 
+    def test_manifest_key_order_and_timestamp(self, capsys, tmp_path):
+        out = tmp_path / "results"
+        assert main(["sweep", "--config", "experiment_300km", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest) == ["config_digest", "tool_version", "timestamp", "outputs"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", manifest["timestamp"])
+
     def test_300km_dips(self, capsys, tmp_path):
         out = tmp_path / "results300"
         assert main(["sweep", "--config", "experiment_300km", "--out", str(out)]) == 0
@@ -311,6 +324,26 @@ class TestSweepCommand:
         assert proc.returncode == 2
         assert proc.stderr == f"error: solution out of float range at f = {frequency} Hz\n"
         assert not (out / "records.csv").exists()
+
+    def test_degenerate_grid_exits_2_without_output(self, capsys, tmp_path):
+        text = bundled_config_path("experiment_500km").read_text()
+        cfg_file = tmp_path / "degenerate.ini"
+        cfg_file.write_text(text.replace("f_end = 1000 Hz", "f_end = 50.000000000001 Hz"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert "ulp(f_end)" in capsys.readouterr().err
+        assert not (out / "records.csv").exists()
+
+    def test_two_points_write_rows_and_no_dips(self, capsys, tmp_path):
+        # fewer than 3 usable rows: no dip can be located, and that is not an error
+        text = bundled_config_path("experiment_500km").read_text()
+        cfg_file = tmp_path / "two.ini"
+        cfg_file.write_text(text.replace("n_points = 951", "n_points = 2"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert [row[0] for row in read_sweep_csv(out / "records.csv")] == [50.0, 1000.0]
+        assert json.loads((out / "dips.json").read_text()) == []
+        assert "tuning dips: 0 matched, 0 unmatched" in capsys.readouterr().out
 
     def test_unwritable_output_exits_4(self, capsys, tmp_path):
         blocker = tmp_path / "file"

@@ -144,6 +144,17 @@ rated_p = 100 MW"""
     assert impedance != digest("kind = admittance\ng_load = 2 S\nc_load = 1 uF")
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("experiment_500km", "a9fc22e0fb20fc9eef036b69839acc81548ce21b4421f8abf4d1a97cfd15ac02"),
+        ("experiment_300km", "7120afffa09d3cc40a2de7c4f13db661b27fc4ff3d9b02dbc6bb41be50c1e988"),
+    ],
+)
+def test_bundled_config_digests_are_pinned(name, digest):
+    assert config_digest(load_sweep_config(bundled_config_path(name))) == digest
+
+
 def test_missing_required_key():
     with pytest.raises(ConfigError):
         parse_sweep_config(GOOD.replace("rated_q = 100 MVAr\n", ""))

@@ -91,6 +91,35 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             experiment_config(500.0, line=lossy, model="lossless")
 
+    def test_rejects_degenerate_grid(self):
+        # step 1.05e-15 Hz is below ulp(50) = 7.1e-15: the 951 computed
+        # frequencies would take only 142 distinct values
+        with pytest.raises(ValueError, match="ulp"):
+            experiment_config(500.0, f_start=50.0, f_end=50.000000000001, n_points=951)
+        two_ulp = 2.0 * math.ulp(1000.0)
+        with pytest.raises(ValueError, match="ulp"):
+            experiment_config(500.0, f_start=1000.0 - two_ulp, f_end=1000.0, n_points=2)
+        grid = experiment_config(
+            500.0, f_start=1000.0 - 2.0 * two_ulp, f_end=1000.0, n_points=2
+        ).grid()
+        assert grid[0] < grid[1]
+
+    @given(
+        f_end=st.floats(min_value=1e-3, max_value=1e12),
+        n_points=st.integers(min_value=2, max_value=2000),
+        ulps_per_step=st.floats(min_value=0.1, max_value=4.0),
+    )
+    @settings(max_examples=300)
+    def test_property_accepted_grid_strictly_increases(self, f_end, n_points, ulps_per_step):
+        f_start = f_end - ulps_per_step * math.ulp(f_end) * (n_points - 1)
+        try:
+            cfg = experiment_config(500.0, f_start=f_start, f_end=f_end, n_points=n_points)
+        except ValueError:
+            return
+        grid = cfg.grid()
+        assert len(grid) == n_points
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+
 
 class TestRunSweep:
     def test_two_point_sweep(self):

@@ -1,0 +1,77 @@
+"""Value types: immutable, hashable, and cheap to import."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+
+import pytest
+
+from tunedline import (
+    Frequency,
+    LineParameters,
+    LoadSpec,
+    PowerResult,
+    PowerTransferInputs,
+    SweepConfig,
+    SweepRecord,
+    TerminalState,
+    TuningDip,
+    TuningSolution,
+    TwoPort,
+    WaveQuantities,
+    default_line,
+)
+
+
+def value_types() -> list:
+    line = default_line()
+    load = LoadSpec(g_load=1e-3, c_load=1e-6)
+    return [
+        LineParameters(L=1e-3, C=1e-8, r=0.01, g=1e-9),
+        Frequency(50.0),
+        WaveQuantities(gamma=0.001j, zc=300 + 0j),
+        TwoPort.identity(),
+        load,
+        TerminalState(vs=1 + 0j, is_=0.5j, vr=1 + 0j, ir=0.5j),
+        PowerTransferInputs(vs_mag=1.0, vr_mag=1.0, delta=0.1, x=1.0),
+        PowerResult(p_r=1.0, q_r=-1.0, delta_v=0.0, q_line=0.5),
+        SweepConfig(line=line, length=500.0, source_voltage=220e3, load=load,
+                    f_start=50.0, f_end=1000.0, n_points=951),
+        SweepRecord(50.0, 1.0, -1.0, 0.5, 127e3, 127e3, 0.0, False),
+        TuningDip(f_detected=300.0, n_matched=1, q_line_at_dip=0.0),
+        TuningSolution(n=1, value=300.0),
+    ]
+
+
+@pytest.mark.parametrize("value", value_types(), ids=lambda v: type(v).__name__)
+def test_immutable(value):
+    field = value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value, twin", zip(value_types(), value_types()),
+                         ids=lambda v: type(v).__name__)
+def test_hashable_and_equal_by_value(value, twin):
+    assert twin is not value
+    assert twin == value
+    assert hash(twin) == hash(value)
+    assert len({value, twin}) == 1
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # timing-free guard on the start-up cost of every tunedline process
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import tunedline.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    loaded = set(proc.stdout.split())
+    assert "tunedline.cli" in loaded
+    assert not loaded & {"dataclasses", "datetime", "inspect", "ast", "dis"}
