@@ -42,6 +42,7 @@ from .sweep import (
     SweepConfig,
     SweepRecord,
     TuningDip,
+    TuningDipWindow,
     detect_tuning_dips,
     run_sweep,
     sweep_points,
@@ -84,6 +85,7 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "TuningDip",
+    "TuningDipWindow",
     "detect_tuning_dips",
     "run_sweep",
     "sweep_points",

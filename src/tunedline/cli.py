@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import ExitStack
+from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -17,16 +19,21 @@ from .linemodel import Frequency
 from .powerflow import ResonanceError
 from .reporting import (
     CSV_FIELDS,
+    PLOT_QUANTITIES,
+    RecordWriter,
     build_manifest,
     dips_report_json,
-    format_plot_data,
-    format_records_json,
-    format_sweep_csv,
+    open_atomic,
     three_phase_row,
     write_text_atomic,
 )
-from .sweep import detect_tuning_dips, run_sweep, sweep_points
+from .sweep import TuningDipWindow, sweep_points
 from .tuning import DEFAULT_VELOCITY_KM_S, tuned_lengths, tuning_frequencies
+
+# Grid points `sweep` solves, converts and appends to its files per step:
+# large enough that the per-chunk cost vanishes, small enough that peak
+# memory does not grow with n_points.
+CHUNK_POINTS = 4096
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,40 +146,44 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = load_sweep_config(resolve_config_arg(args.config))
-    records = run_sweep(cfg)
-    n_singular = sum(r.singular for r in records)
-    usable = len(records) - n_singular  # dip detection needs 3; fewer report no dips
-    dips = detect_tuning_dips(records, cfg.length, cfg.line.velocity) if usable >= 3 else []
-    rows = list(map(three_phase_row, records))
+    """Stream the sweep to its files, CHUNK_POINTS records at a time.
 
+    records.csv, records.json and the plot files are appended to through
+    open_atomic, so they appear only when every point has been solved;
+    dips.json and manifest.json follow.
+    """
+    cfg = load_sweep_config(resolve_config_arg(args.config))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     csv_path = out_dir / "records.csv"
-    csv_text = format_sweep_csv(rows)
-    write_text_atomic(csv_path, csv_text)
-    outputs = [str(csv_path)]
-
-    if args.format == "json":
-        json_path = out_dir / "records.json"
-        write_text_atomic(json_path, format_records_json(rows))
-        outputs.append(str(json_path))
-
+    json_path = out_dir / "records.json" if args.format == "json" else None
     dips_path = out_dir / "dips.json"
+    dat_paths = [out_dir / f"{q}.dat" for q in PLOT_QUANTITIES] if args.plot_data else []
+
+    records = sweep_points(cfg, cfg.grid())
+    window = TuningDipWindow(cfg.length, cfg.line.velocity)
+    n_records = 0
+    with ExitStack() as stack:
+        writer = RecordWriter(
+            stack.enter_context(open_atomic(csv_path)),
+            stack.enter_context(open_atomic(json_path)) if json_path else None,
+            [stack.enter_context(open_atomic(path)) for path in dat_paths],
+        )
+        while chunk := list(islice(records, CHUNK_POINTS)):
+            window.extend(chunk)
+            writer.write(list(map(three_phase_row, chunk)))
+            n_records += len(chunk)
+        writer.close()
+
+    # dip detection needs 3 usable records; fewer report no dips
+    dips = window.close() if window.usable >= 3 else []
     write_text_atomic(dips_path, dips_report_json(dips))
-    outputs.append(str(dips_path))
-
-    if args.plot_data:
-        for quantity, text in format_plot_data(csv_text).items():
-            dat_path = out_dir / f"{quantity}.dat"
-            write_text_atomic(dat_path, text)
-            outputs.append(str(dat_path))
-
-    manifest = build_manifest(cfg, outputs)
+    outputs = [csv_path, *([json_path] if json_path else []), dips_path, *dat_paths]
+    manifest = build_manifest(cfg, [str(path) for path in outputs])
     write_text_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
-    print(f"wrote {len(records)} records ({n_singular} singular) to {csv_path}")
+    n_singular = n_records - window.usable
+    print(f"wrote {n_records} records ({n_singular} singular) to {csv_path}")
     matched = [d for d in dips if d.n_matched > 0]
     print(f"tuning dips: {len(matched)} matched, {len(dips) - len(matched)} unmatched")
     for d in matched:

@@ -49,9 +49,26 @@ __all__ = [
 RECIPROCITY_TOL = 1e-10
 
 
-# A value type that validates subclasses a plain namedtuple and checks its
-# arguments in __new__, whose signature alone declares field types and defaults.
-class LineParameters(namedtuple("LineParameters", "L C r g")):
+class _Validated:
+    """Base for the value types that check their fields in __new__.
+
+    Such a type subclasses (_Validated, namedtuple(...)) and checks its
+    arguments in __new__, whose signature alone declares field types and
+    defaults.  The namedtuple's _make, and _replace, which calls it, would
+    build the tuple without __new__; here they go through it.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        values = tuple(iterable)
+        if len(values) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(values)}")
+        return cls(*values)
+
+
+class LineParameters(_Validated, namedtuple("LineParameters", "L C r g")):
     """Per-unit-length line constants: series r + jwL, shunt g + jwC (per km)."""
 
     __slots__ = ()
@@ -99,7 +116,7 @@ def default_line() -> LineParameters:
     return LineParameters(L=1.0e-3, C=1.0 / 9.0e7)
 
 
-class Frequency(namedtuple("Frequency", "f")):
+class Frequency(_Validated, namedtuple("Frequency", "f")):
     """Operating frequency; exposes both cyclic f (Hz) and angular omega."""
 
     __slots__ = ()

@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .linemodel import Frequency, TwoPort
+from .linemodel import Frequency, TwoPort, _Validated
 
 __all__ = [
     "ResonanceError",
@@ -50,7 +50,7 @@ class ResonanceError(ValueError):
     """
 
 
-class LoadSpec(namedtuple("LoadSpec", "g_load c_load")):
+class LoadSpec(_Validated, namedtuple("LoadSpec", "g_load c_load")):
     """Shunt load at the receiving end as a parallel G-C pair.
 
     The effective admittance at frequency f is
@@ -109,7 +109,9 @@ class TerminalState(NamedTuple):
     ir: complex
 
 
-class PowerTransferInputs(namedtuple("PowerTransferInputs", "vs_mag vr_mag delta x")):
+class PowerTransferInputs(
+    _Validated, namedtuple("PowerTransferInputs", "vs_mag vr_mag delta x")
+):
     """Inputs to the simplified reactance transfer model."""
 
     __slots__ = ()

@@ -20,8 +20,18 @@ keyed by the CSV header, with shortest-repr floats (`float.__repr__`, as
 are `f_hz value` pairs that reuse the CSV's 17-digit cells verbatim, one
 line per non-singular row.
 
-All writers go through a .partial temp file and rename on success, so an
-interrupted run never leaves a clean-looking half-written output.
+`format_sweep_csv`, `format_records_json` and `format_plot_data` render
+a whole list of rows.  `RecordWriter` streams the same three formats
+into open files a chunk of rows at a time, through the same row
+templates, and gives the same bytes however the rows are chunked, so
+the `sweep` command never holds more than one chunk.
+
+Every file is written through one atomic writer, `open_atomic`: a
+context manager that yields the handle of a `<name>.partial` sibling,
+renames it to `<name>` when the block succeeds and deletes it when the
+block raises, so a failed or interrupted run leaves neither a
+clean-looking half-written output nor a .partial file.
+`write_text_atomic` writes one string through it.
 """
 
 from __future__ import annotations
@@ -31,7 +41,9 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .sweep import SweepConfig, SweepRecord, TuningDip
@@ -39,11 +51,14 @@ from .sweep import SweepConfig, SweepRecord, TuningDip
 __all__ = [
     "CSV_HEADER",
     "CSV_FIELDS",
+    "PLOT_QUANTITIES",
     "three_phase_row",
     "format_sweep_csv",
     "format_records_json",
     "format_plot_data",
+    "RecordWriter",
     "read_sweep_csv",
+    "open_atomic",
     "write_text_atomic",
     "dips_report_json",
     "config_digest",
@@ -52,11 +67,12 @@ __all__ = [
 
 CSV_HEADER = "f_hz,p_r_mw,q_r_mvar,q_line_mvar,vs_kv,vr_kv,delta_v,singular"
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
+PLOT_QUANTITIES = CSV_FIELDS[1:4]
 
 _SQRT3 = 3.0**0.5
 
-_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,false"
-_SINGULAR_ROW = "%.17g,,,,%.17g,,,true"
+_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,false\n"
+_SINGULAR_ROW = "%.17g,,,,%.17g,,,true\n"
 
 # records.json array elements, laid out as json.dumps(..., indent=2) lays
 # them out; %r is float.__repr__, the call the JSON encoder makes.
@@ -91,28 +107,23 @@ def three_phase_row(rec: SweepRecord) -> tuple:
     )
 
 
-def format_sweep_csv(rows: list[tuple]) -> str:
-    """CSV text of three_phase_row rows, header first, newline-terminated."""
-    lines = [CSV_HEADER]
-    append = lines.append
-    for row in rows:
-        if row[7]:
-            append(_SINGULAR_ROW % (row[0], row[4]))
-        else:
-            append(_ROW % row[:7])
-    return "\n".join(lines) + "\n"
+# The chunk forms below render any run of rows without the file's head
+# or tail; the whole-file forms and RecordWriter add those.
 
 
-def format_records_json(rows: list[tuple]) -> str:
-    """records.json text of three_phase_row rows, newline-terminated.
+def _csv_lines(rows: list[tuple]) -> str:
+    """CSV lines of three_phase_row rows, each newline-terminated."""
+    return "".join(
+        [_SINGULAR_ROW % (row[0], row[4]) if row[7] else _ROW % row[:7] for row in rows]
+    )
 
-    Byte-identical to
-    json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n",
-    but each row is one template substitution instead of a pass through
-    the pure-Python encoder that indent=2 selects.
+
+def _json_elements(rows: list[tuple]) -> str:
+    """records.json array elements of three_phase_row rows, joined by ",\n".
+
+    Each row is one template substitution instead of a pass through the
+    pure-Python encoder that indent=2 selects.
     """
-    if not rows:
-        return "[]\n"
     elements = []
     append = elements.append
     for row in rows:
@@ -127,7 +138,36 @@ def format_records_json(rows: list[tuple]) -> str:
             append(_JSON_SINGULAR_ROW % values)
         else:
             append(_JSON_ROW % values)
-    return "[\n" + ",\n".join(elements) + "\n]\n"
+    return ",\n".join(elements)
+
+
+def _plot_lines(csv_lines: str) -> list[str]:
+    """Plot-file lines per PLOT_QUANTITIES entry of _csv_lines text.
+
+    Each is one newline-terminated "f_hz value" line per non-singular row.
+    The lines reuse the CSV's %.17g cells, so no float is formatted twice;
+    singular rows, whose p_r_mw cell is empty, are left out.
+    """
+    rows = [line.split(",", 4) for line in csv_lines.splitlines()]
+    rows = [cells for cells in rows if cells[1]]
+    return [
+        "".join([f"{r[0]} {r[column]}\n" for r in rows])
+        for column in range(1, 1 + len(PLOT_QUANTITIES))
+    ]
+
+
+def format_sweep_csv(rows: list[tuple]) -> str:
+    """CSV text of three_phase_row rows, header first, newline-terminated."""
+    return f"{CSV_HEADER}\n{_csv_lines(rows)}"
+
+
+def format_records_json(rows: list[tuple]) -> str:
+    """records.json text of three_phase_row rows, newline-terminated.
+
+    Byte-identical to
+    json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n".
+    """
+    return f"[\n{_json_elements(rows)}\n]\n" if rows else "[]\n"
 
 
 def format_plot_data(csv_text: str) -> dict[str, str]:
@@ -135,16 +175,50 @@ def format_plot_data(csv_text: str) -> dict[str, str]:
 
     Each text is a "# f_hz <quantity>" header and one "f_hz value" line per
     non-singular row of csv_text (format_sweep_csv output), newline-
-    terminated.  The lines reuse the CSV's %.17g cells, so no float is
-    formatted twice; singular rows, whose p_r_mw cell is empty, are left out.
+    terminated.
     """
-    rows = [line.split(",", 4) for line in csv_text.splitlines()[1:]]
-    rows = [cells for cells in rows if cells[1]]
-    return {
-        quantity: "\n".join([f"# f_hz {quantity}", *[f"{r[0]} {r[column]}" for r in rows]])
-        + "\n"
-        for column, quantity in enumerate(CSV_FIELDS[1:4], 1)
-    }
+    lines = _plot_lines(csv_text.partition("\n")[2])
+    return {q: f"# f_hz {q}\n{text}" for q, text in zip(PLOT_QUANTITIES, lines)}
+
+
+class RecordWriter:
+    """Appends a sweep's rows, a chunk at a time, to its open record files.
+
+    csv takes records.csv, records_json records.json (or None) and plots
+    one plot file per PLOT_QUANTITIES entry, in that order (or none).
+    The heads are written on construction, each `write` appends one chunk
+    of three_phase_row rows, and `close` ends records.json.  The files
+    then hold what format_sweep_csv, format_records_json and
+    format_plot_data give for all the rows at once, however they were
+    chunked.
+    """
+
+    def __init__(
+        self, csv: TextIO, records_json: TextIO | None = None, plots: Sequence[TextIO] = ()
+    ) -> None:
+        self._csv, self._json, self._plots = csv, records_json, plots
+        self._json_separator = "[\n"  # before the first element; ",\n" after it
+        csv.write(f"{CSV_HEADER}\n")
+        for fh, quantity in zip(plots, PLOT_QUANTITIES):
+            fh.write(f"# f_hz {quantity}\n")
+
+    def write(self, rows: list[tuple]) -> None:
+        """Append one chunk of three_phase_row rows to every open file."""
+        if not rows:
+            return
+        csv_lines = _csv_lines(rows)
+        self._csv.write(csv_lines)
+        if self._json is not None:
+            self._json.write(self._json_separator + _json_elements(rows))
+            self._json_separator = ",\n"
+        if self._plots:
+            for fh, lines in zip(self._plots, _plot_lines(csv_lines)):
+                fh.write(lines)
+
+    def close(self) -> None:
+        """Write the records.json tail; call once, after the last write."""
+        if self._json is not None:
+            self._json.write("[]\n" if self._json_separator == "[\n" else "\n]\n")
 
 
 def read_sweep_csv(path: str | Path) -> list[tuple]:
@@ -171,13 +245,30 @@ def read_sweep_csv(path: str | Path) -> list[tuple]:
     return rows
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a .partial sibling and rename, so failures leave no clean file."""
+@contextmanager
+def open_atomic(path: str | Path) -> Iterator[TextIO]:
+    """Yield a text handle on path's .partial sibling; rename it to path on success.
+
+    When the block (or closing the file, or the rename) raises, the
+    .partial file is deleted and the exception propagates, so path is
+    either the complete text or untouched.
+    """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
-    with open(partial, "w", newline="") as fh:
+    fh = open(partial, "w", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:  # includes KeyboardInterrupt; re-raised below
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write text to path through open_atomic."""
+    with open_atomic(path) as fh:
         fh.write(text)
-    os.replace(partial, path)
 
 
 def dips_report_json(dips: list[TuningDip]) -> str:

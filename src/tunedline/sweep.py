@@ -5,7 +5,10 @@ line-to-line voltage drives the line into a shunt load while the supply
 frequency is swept over a uniform grid.  Each grid point is solved
 independently with the selected line model; resonant points are flagged
 in-band rather than aborting the sweep.  Records are per-phase quantities
-in SI units, emitted in ascending frequency order.
+in SI units, emitted in ascending frequency order.  The grid and the
+records are generated lazily, one point at a time, so a consumer that
+streams them (the `sweep` command) holds no more than it keeps itself;
+dip detection is a three-record sliding window over the same stream.
 
 The per-point loop fuses the two-port build, the terminal solve and the
 power accounting into plain local arithmetic.  Every expression keeps the
@@ -20,9 +23,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .linemodel import Frequency, LineParameters, pi_cascade_oracle
+from .linemodel import Frequency, LineParameters, _Validated, pi_cascade_oracle
 from .powerflow import _SINGULARITY_REL, LoadSpec
 from .tuning import is_tuned
 
@@ -31,6 +34,7 @@ __all__ = [
     "SweepConfig",
     "SweepRecord",
     "TuningDip",
+    "TuningDipWindow",
     "run_sweep",
     "sweep_points",
     "detect_tuning_dips",
@@ -44,7 +48,7 @@ _SQRT3 = math.sqrt(3.0)
 _SWEEP_FIELDS = "line length source_voltage load f_start f_end n_points model pi_sections"
 
 
-class SweepConfig(namedtuple("SweepConfig", _SWEEP_FIELDS)):
+class SweepConfig(_Validated, namedtuple("SweepConfig", _SWEEP_FIELDS)):
     """Full experiment definition: line, load, source and frequency grid.
 
     source_voltage is line-to-line RMS volts; the solver works per phase
@@ -92,10 +96,13 @@ class SweepConfig(namedtuple("SweepConfig", _SWEEP_FIELDS)):
             cls, line, length, source_voltage, load, f_start, f_end, n_points, model, pi_sections
         )
 
-    def grid(self) -> list[float]:
-        """Uniform frequency grid, endpoints inclusive."""
-        step = (self.f_end - self.f_start) / (self.n_points - 1)
-        return [self.f_start + i * step for i in range(self.n_points - 1)] + [self.f_end]
+    def grid(self) -> Iterator[float]:
+        """Uniform frequency grid, endpoints inclusive, generated lazily."""
+        f_start = self.f_start
+        step = (self.f_end - f_start) / (self.n_points - 1)
+        for i in range(self.n_points - 1):
+            yield f_start + i * step
+        yield self.f_end
 
 
 class SweepRecord(NamedTuple):
@@ -132,11 +139,14 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
     returned in ascending frequency order.  Per-point resonances produce
     singular records instead of aborting.
     """
-    return sweep_points(cfg, cfg.grid())
+    return list(sweep_points(cfg, cfg.grid()))
 
 
-def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRecord]:
+def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[SweepRecord]:
     """Solve cfg's system at each given frequency (Hz, positive and finite).
+
+    A generator: each record is solved when it is asked for, so memory
+    does not grow with the number of frequencies.
 
     For each point: vr = vs / (a + b*y), ir = y*vr, is = c*vr + d*ir,
     then S_r = vr*conj(ir) and S_s = vs*conj(is).  A point is singular
@@ -156,8 +166,6 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRe
     vs = complex(cfg.source_voltage / _SQRT3, 0.0)
     vs_mag = abs(vs)
     two_pi = 2.0 * math.pi
-    records: list[SweepRecord] = []
-    append = records.append
     try:
         for f in frequencies:
             omega = two_pi * f
@@ -183,7 +191,7 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRe
             y = complex(g_load, omega * c_load)
             den = a + b * y
             if den == 0 or abs(den) < _SINGULARITY_REL * abs(a):
-                append(SweepRecord(f, None, None, None, vs_mag, None, None, True))
+                yield SweepRecord(f, None, None, None, vs_mag, None, None, True)
                 continue
             vr = vs / den
             ir = y * vr
@@ -196,52 +204,91 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> list[SweepRe
             delta_v = (vs_mag - vr_mag) / vr_mag  # ZeroDivisionError on |vr| = 0
             if not math.isfinite(p_r + q_line + delta_v):
                 raise OverflowError
-            append(SweepRecord(f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, False))
+            yield SweepRecord(f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, False)
     except (ArithmeticError, ValueError):  # math.cos(inf) raises ValueError
         raise ValueError(f"solution out of float range at f = {f} Hz") from None
-    return records
+
+
+class TuningDipWindow:
+    """Tuning-dip detection over a record stream, three records at a time.
+
+    Feed the records of one sweep in ascending frequency order through
+    any number of `extend` calls, then call `close` once for the dips.
+    The window keeps one record and one magnitude between calls, so memory
+    does not grow with the sweep.  `usable` counts the non-singular
+    records seen so far.
+
+    A non-singular record is a dip when its |q_line| is strictly smaller
+    than both neighbours'; the first and last record of the sweep need
+    only be smaller than their single neighbour (a tuning point can sit
+    exactly on the sweep edge).  Records next to a singular one are not
+    dips, since one neighbour is unknown there.
+
+    Each dip is matched to the nearest analytic harmonic n*v/(2*length);
+    dips farther than two grid steps (the spacing of the first two
+    records) from every harmonic are reported with n_matched = 0.
+    """
+
+    __slots__ = ("length", "velocity", "dips", "usable", "_left", "_mid", "_q", "_step")
+
+    def __init__(self, length: float, velocity: float) -> None:
+        self.length = length
+        self.velocity = velocity
+        self.dips: list[TuningDip] = []
+        self.usable = 0
+        # |q_line| of the record under judgement (_mid) and of its left
+        # neighbour.  A singular record's magnitude is nan and a missing
+        # sweep-edge neighbour's is inf, so one test `q < left and
+        # q < right` applies all the rules above: every comparison with
+        # nan is false, and every finite q is below inf.  q = inf before
+        # the first record judges nothing.
+        self._left = math.inf
+        self._mid: SweepRecord | None = None
+        self._q = math.inf
+        self._step: float | None = None
+
+    def extend(self, records: Iterable[SweepRecord]) -> None:
+        """Slide the window over the next records of the sweep."""
+        left, mid, q, step = self._left, self._mid, self._q, self._step
+        usable = self.usable
+        for rec in records:
+            if rec.singular:
+                right = math.nan
+            else:
+                right = abs(rec.q_line)
+                usable += 1
+            if step is None and mid is not None:
+                step = rec.f - mid.f
+            if q < left and q < right:
+                self._match(mid, step)
+            left, mid, q = q, rec, right
+        self._left, self._mid, self._q, self._step = left, mid, q, step
+        self.usable = usable
+
+    def close(self) -> list[TuningDip]:
+        """Judge the last record against its left neighbour; return all dips.
+
+        Raises ValueError when fewer than 3 non-singular records were fed.
+        """
+        if self.usable < 3:
+            raise ValueError("need at least 3 non-singular records to detect dips")
+        if self._q < self._left:
+            self._match(self._mid, self._step)
+        return self.dips
+
+    def _match(self, rec: SweepRecord, step: float) -> None:
+        _, nearest = is_tuned(self.length, Frequency(rec.f), self.velocity)
+        n = nearest.n if abs(rec.f - nearest.value) <= 2.0 * step else 0
+        self.dips.append(TuningDip(f_detected=rec.f, n_matched=n, q_line_at_dip=rec.q_line))
 
 
 def detect_tuning_dips(
-    records: list[SweepRecord], length: float, velocity: float
+    records: Iterable[SweepRecord], length: float, velocity: float
 ) -> list[TuningDip]:
-    """Locate local minima of |q_line| and match them to tuning harmonics.
+    """Tuning dips of a whole sweep; see TuningDipWindow for the rules.
 
-    Interior records count as dips when strictly smaller than both
-    neighbours; the first and last record of the sweep count when strictly
-    smaller than their single neighbour (a tuning point can sit exactly on
-    the sweep edge).  Records adjacent to singular points are skipped,
-    since one neighbour is unknown there.
-
-    Each dip is matched to the nearest analytic harmonic n*v/(2*length);
-    dips farther than two grid steps from every harmonic are reported with
-    n_matched = 0.
+    Raises ValueError when fewer than 3 records are non-singular.
     """
-    usable = sum(1 for r in records if not r.singular)
-    if usable < 3:
-        raise ValueError("need at least 3 non-singular records to detect dips")
-    step = records[1].f - records[0].f
-
-    def magnitude(rec: SweepRecord) -> float | None:
-        return None if rec.singular else abs(rec.q_line)
-
-    dips: list[TuningDip] = []
-    last = len(records) - 1
-    for i, rec in enumerate(records):
-        q = magnitude(rec)
-        if q is None:
-            continue
-        left = magnitude(records[i - 1]) if i > 0 else None
-        right = magnitude(records[i + 1]) if i < last else None
-        if i == 0:
-            is_dip = right is not None and q < right
-        elif i == last:
-            is_dip = left is not None and q < left
-        else:
-            is_dip = left is not None and right is not None and q < left and q < right
-        if not is_dip:
-            continue
-        _, nearest = is_tuned(length, Frequency(rec.f), velocity)
-        n = nearest.n if abs(rec.f - nearest.value) <= 2.0 * step else 0
-        dips.append(TuningDip(f_detected=rec.f, n_matched=n, q_line_at_dip=rec.q_line))
-    return dips
+    window = TuningDipWindow(length, velocity)
+    window.extend(records)
+    return window.close()

@@ -43,26 +43,42 @@ def _check_velocity(velocity: float) -> None:
         raise ValueError("velocity must be positive and finite")
 
 
+def _check_finite(solutions: list[TuningSolution], what: str) -> None:
+    # n*v/(2x) grows with n, so the last solution is the largest
+    if not math.isfinite(solutions[-1].value):
+        raise ValueError(f"{what} is out of float range")
+
+
 def tuned_lengths(
     freq: Frequency, velocity: float = DEFAULT_VELOCITY_KM_S, n_max: int = 3
 ) -> list[TuningSolution]:
-    """Tuned line lengths n*v/(2f) in km for n = 1..n_max."""
+    """Tuned line lengths n*v/(2f) in km for n = 1..n_max.
+
+    Raises ValueError when a length leaves the float range.
+    """
     _check_velocity(velocity)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return [TuningSolution(n, n * velocity / (2.0 * freq.f)) for n in range(1, n_max + 1)]
+    solutions = [TuningSolution(n, n * velocity / (2.0 * freq.f)) for n in range(1, n_max + 1)]
+    _check_finite(solutions, f"tuned length at frequency {freq.f!r} Hz")
+    return solutions
 
 
 def tuning_frequencies(
     length: float, velocity: float = DEFAULT_VELOCITY_KM_S, n_max: int = 3
 ) -> list[TuningSolution]:
-    """Tuning frequencies n*v/(2l) in Hz for n = 1..n_max."""
+    """Tuning frequencies n*v/(2l) in Hz for n = 1..n_max.
+
+    Raises ValueError when a frequency leaves the float range.
+    """
     _check_velocity(velocity)
     if not (math.isfinite(length) and length > 0.0):
         raise ValueError("length must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return [TuningSolution(n, n * velocity / (2.0 * length)) for n in range(1, n_max + 1)]
+    solutions = [TuningSolution(n, n * velocity / (2.0 * length)) for n in range(1, n_max + 1)]
+    _check_finite(solutions, f"tuning frequency for length {length!r} km")
+    return solutions
 
 
 def is_tuned(

@@ -1,8 +1,8 @@
-"""Shared helpers for comparing two-port matrices at mixed entry scales."""
+"""Shared helpers: two-port comparison at mixed entry scales, reference dips."""
 
 from __future__ import annotations
 
-from tunedline import TwoPort
+from tunedline import Frequency, TuningDip, TwoPort, is_tuned
 
 
 def twoport_max_error(m1: TwoPort, m2: TwoPort, z_ref: float = 300.0) -> float:
@@ -35,3 +35,36 @@ def assert_twoport_close(
         assert abs(x - y) <= rtol * scale, (
             f"entry {name}: {x} vs {y}, diff {abs(x - y):.3e} > {rtol:.1e} * {scale:.3e}"
         )
+
+
+def reference_tuning_dips(records: list, length: float, velocity: float) -> list:
+    """Tuning dips found by indexing the whole record list.
+
+    The detection rules of `TuningDipWindow`, written as a plain loop with
+    both neighbours looked up by index: the oracle the streaming window is
+    checked against.
+    """
+    step = records[1].f - records[0].f
+
+    def magnitude(rec):
+        return None if rec.singular else abs(rec.q_line)
+
+    dips = []
+    last = len(records) - 1
+    for i, rec in enumerate(records):
+        q = magnitude(rec)
+        if q is None:
+            continue
+        left = magnitude(records[i - 1]) if i > 0 else None
+        right = magnitude(records[i + 1]) if i < last else None
+        if i == 0:
+            is_dip = right is not None and q < right
+        elif i == last:
+            is_dip = left is not None and q < left
+        else:
+            is_dip = left is not None and right is not None and q < left and q < right
+        if is_dip:
+            _, nearest = is_tuned(length, Frequency(rec.f), velocity)
+            n = nearest.n if abs(rec.f - nearest.value) <= 2.0 * step else 0
+            dips.append(TuningDip(f_detected=rec.f, n_matched=n, q_line_at_dip=rec.q_line))
+    return dips

@@ -2,18 +2,29 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from tunedline import run_sweep
+from conftest import reference_tuning_dips
+from tunedline import cli, run_sweep
 from tunedline.cli import main
 from tunedline.config import bundled_config_path, load_sweep_config
-from tunedline.reporting import CSV_FIELDS, read_sweep_csv, three_phase_row
+from tunedline.reporting import (
+    CSV_FIELDS,
+    dips_report_json,
+    format_plot_data,
+    format_records_json,
+    format_sweep_csv,
+    read_sweep_csv,
+    three_phase_row,
+)
 
 RESONANT_CONFIG = """
 [line]
@@ -108,6 +119,22 @@ class TestTuningCommand:
     def test_invalid_length(self, capsys):
         assert main(["tuning", "--length", "-5"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--length", "1e-310", "--format", "json"],
+             "tuning frequency for length 1e-310 km is out of float range"),
+            (["--frequency", "1e-310", "--format", "csv"],
+             "tuned length at frequency 1e-310 Hz is out of float range"),
+        ],
+    )
+    def test_results_out_of_float_range_exit_2(self, capsys, argv, message):
+        # n*v/(2x) overflows to inf, which JSON cannot carry and CSV would print as inf
+        assert main(["tuning", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSolveCommand:
@@ -359,6 +386,120 @@ class TestSweepCommand:
         main(["sweep", "--config", "experiment_500km", "--out", str(blocker / "sub")])
         leftovers = [p for p in tmp_path.rglob("*") if p != blocker]
         assert all(p.name.endswith(".partial") for p in leftovers)
+
+
+def grid_config(tmp_path, text: str, f_start: float, f_end: float, n_points: int):
+    """text (a config on the bundled 50-1000 Hz, 951-point grid) on another grid."""
+    for line in ("f_start = 50 Hz", "f_end = 1000 Hz", "n_points = 951"):
+        assert line in text
+    path = tmp_path / f"grid-{f_start!r}-{f_end!r}-{n_points}.ini"
+    path.write_text(
+        text.replace("f_start = 50 Hz", f"f_start = {f_start!r} Hz")
+        .replace("f_end = 1000 Hz", f"f_end = {f_end!r} Hz")
+        .replace("n_points = 951", f"n_points = {n_points}")
+    )
+    return path
+
+
+class TestSweepStreaming:
+    """`sweep` with CHUNK_POINTS set small, so every file spans many chunks."""
+
+    CHUNKS = [1, 2, 3, 7]
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("config", ["experiment_500km", "experiment_300km", "resonant"])
+    def test_outputs_equal_whole_list_formatters(self, monkeypatch, capsys, tmp_path,
+                                                 config, chunk):
+        if config == "resonant":
+            path = tmp_path / "resonant.ini"
+            path.write_text(RESONANT_CONFIG)
+        else:
+            path = bundled_config_path(config)
+        monkeypatch.setattr(cli, "CHUNK_POINTS", chunk)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out),
+                     "--format", "json", "--plot-data"]) == 0
+
+        cfg = load_sweep_config(path)
+        records = run_sweep(cfg)
+        rows = [three_phase_row(r) for r in records]
+        csv_text = format_sweep_csv(rows)
+        expected = {
+            "records.csv": csv_text,
+            "records.json": format_records_json(rows),
+            "dips.json": dips_report_json(
+                reference_tuning_dips(records, cfg.length, cfg.line.velocity)
+            ),
+            **{f"{q}.dat": text for q, text in format_plot_data(csv_text).items()},
+        }
+        assert any(r.singular for r in records) == (config == "resonant")
+        assert sorted(p.name for p in out.iterdir()) == sorted([*expected, "manifest.json"])
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode(), name
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("position", range(16))
+    @pytest.mark.parametrize("f_center", [300.0, 75.0])
+    def test_dips_on_chunk_boundaries(self, monkeypatch, capsys, tmp_path, chunk, position,
+                                      f_center):
+        # 16 points 1 Hz apart with f_center at index `position`: the 500 km
+        # line's n=1 dip at 300 Hz, or the resonant config's singular row at
+        # 75 Hz, lands first, last and inside a chunk, and on the sweep edges
+        text = (bundled_config_path("experiment_500km").read_text() if f_center == 300.0
+                else RESONANT_CONFIG)
+        f_start = f_center - position
+        config = grid_config(tmp_path, text, f_start, f_start + 15.0, 16)
+        monkeypatch.setattr(cli, "CHUNK_POINTS", chunk)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+
+        cfg = load_sweep_config(config)
+        records = run_sweep(cfg)
+        assert records[position].f == f_center
+        assert records[position].singular == (f_center == 75.0)
+        dips = reference_tuning_dips(records, cfg.length, cfg.line.velocity)
+        if f_center == 300.0:
+            assert (300.0, 1) in [(d.f_detected, d.n_matched) for d in dips]
+        assert (out / "dips.json").read_text() == dips_report_json(dips)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_overflow_in_later_chunk_leaves_no_records(self, monkeypatch, capsys, tmp_path,
+                                                       chunk):
+        # 100..2500 Hz in 100 Hz steps: rows up to 1700 Hz are finite, so with
+        # chunks of 7 or fewer the overflow comes after whole chunks were written
+        cfg_file = tmp_path / "stopband.ini"
+        cfg_file.write_text(
+            STOPBAND_CONFIG.format(r=500, f_start=100, f_end=2500, model="exact")
+            .replace("n_points = 3", "n_points = 25")
+        )
+        monkeypatch.setattr(cli, "CHUNK_POINTS", chunk)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
+                     "--format", "json", "--plot-data"]) == 2
+        assert capsys.readouterr().err == (
+            "error: solution out of float range at f = 1800.0 Hz\n"
+        )
+        assert list(out.iterdir()) == []
+
+    def test_peak_memory_does_not_grow_with_n_points(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cli, "CHUNK_POINTS", 256)
+        text = bundled_config_path("experiment_500km").read_text()
+
+        def peak_bytes(n_points: int) -> int:
+            config = grid_config(tmp_path, text, 50.0, 1000.0, n_points)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--config", str(config), "--out",
+                             str(tmp_path / f"out-{n_points}"), "--format", "json",
+                             "--plot-data"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak_bytes(600)  # warm-up over three chunks: lazy imports and first-use caches
+        small, large = peak_bytes(4_000), peak_bytes(40_000)
+        assert large <= 1.5 * small, (small, large)
 
 
 def test_module_entry_point():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -12,9 +13,12 @@ from tunedline import SweepRecord, three_phase_row
 from tunedline.reporting import (
     CSV_FIELDS,
     CSV_HEADER,
+    PLOT_QUANTITIES,
+    RecordWriter,
     format_plot_data,
     format_records_json,
     format_sweep_csv,
+    open_atomic,
     read_sweep_csv,
 )
 
@@ -124,6 +128,48 @@ def test_plot_data_matches_per_cell_format(rows):
     plot_data = format_plot_data(format_sweep_csv(rows))
     assert plot_data == plot_data_per_cell(rows)
     assert list(plot_data) == ["p_r_mw", "q_r_mvar", "q_line_mvar"]
+
+
+@given(rows=rows_strategy, cuts=st.lists(st.integers(min_value=0, max_value=12), max_size=6))
+@example(rows=[], cuts=[])
+@example(rows=[], cuts=[0, 0])
+@example(rows=[SINGULAR_75], cuts=[0, 1, 1])
+@settings(max_examples=200)
+def test_record_writer_chunks_equal_whole_list_formatters(rows, cuts):
+    # rows split at the cuts (empty chunks included) give the bytes of one run
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    csv, records_json = io.StringIO(), io.StringIO()
+    plots = [io.StringIO() for _ in PLOT_QUANTITIES]
+    writer = RecordWriter(csv, records_json, plots)
+    for start, end in zip(bounds, bounds[1:]):
+        writer.write(rows[start:end])
+    writer.close()
+    assert csv.getvalue() == format_sweep_csv(rows)
+    assert records_json.getvalue() == format_records_json(rows)
+    plot_data = format_plot_data(format_sweep_csv(rows))
+    assert [fh.getvalue() for fh in plots] == [plot_data[q] for q in PLOT_QUANTITIES]
+
+
+def test_open_atomic_renames_on_success(tmp_path):
+    path = tmp_path / "out.txt"
+    with open_atomic(path) as fh:
+        fh.write("a\n")
+        assert (tmp_path / "out.txt.partial").is_file()
+        assert not path.exists()
+    assert path.read_text() == "a\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_open_atomic_removes_partial_on_error(tmp_path, error):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with pytest.raises(error):
+        with open_atomic(path) as fh:
+            fh.write("new\n")
+            raise error
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 @pytest.mark.parametrize(

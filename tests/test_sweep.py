@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_tuning_dips
 from tunedline import (
     RECIPROCITY_TOL,
     Frequency,
@@ -17,6 +18,7 @@ from tunedline import (
     ResonanceError,
     SweepConfig,
     SweepRecord,
+    TuningDipWindow,
     abcd_exact,
     abcd_lossless,
     complex_power_accounting,
@@ -56,10 +58,10 @@ def experiment_config(length: float, **overrides) -> SweepConfig:
 class TestSweepConfig:
     def test_grid_endpoints_inclusive(self):
         cfg = experiment_config(500.0, n_points=2)
-        assert cfg.grid() == [50.0, 1000.0]
+        assert list(cfg.grid()) == [50.0, 1000.0]
 
     def test_grid_is_uniform_1hz(self):
-        grid = experiment_config(500.0).grid()
+        grid = list(experiment_config(500.0).grid())
         assert len(grid) == 951
         assert grid[0] == 50.0
         assert grid[-1] == 1000.0
@@ -99,9 +101,9 @@ class TestSweepConfig:
         two_ulp = 2.0 * math.ulp(1000.0)
         with pytest.raises(ValueError, match="ulp"):
             experiment_config(500.0, f_start=1000.0 - two_ulp, f_end=1000.0, n_points=2)
-        grid = experiment_config(
+        grid = list(experiment_config(
             500.0, f_start=1000.0 - 2.0 * two_ulp, f_end=1000.0, n_points=2
-        ).grid()
+        ).grid())
         assert grid[0] < grid[1]
 
     @given(
@@ -116,7 +118,7 @@ class TestSweepConfig:
             cfg = experiment_config(500.0, f_start=f_start, f_end=f_end, n_points=n_points)
         except ValueError:
             return
-        grid = cfg.grid()
+        grid = list(cfg.grid())
         assert len(grid) == n_points
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
@@ -283,6 +285,61 @@ class TestDetectTuningDips:
         assert any(d.n_matched == 1 and d.f_detected == 300.0 for d in dips)
 
 
+# --- the streaming dip window against whole-list indexing ------------------
+
+
+@st.composite
+def chunked_records(draw) -> tuple[list[SweepRecord], list[int]]:
+    """Records on a 1 Hz grid near the 300 Hz harmonic of a 500 km line,
+    some singular, |q_line| from a few values so ties occur; and the
+    chunk sizes they are fed in."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    f_start = draw(st.sampled_from((280.0, 290.0, 296.5, 299.0, 300.0)))
+    records = []
+    for i in range(n):
+        f = f_start + i
+        if draw(st.integers(0, 5)) == 0:
+            records.append(SweepRecord(f, None, None, None, 1.0, None, None, True))
+        else:
+            q = draw(st.sampled_from((-3.0, -1.0, 0.5, 1.0, 2.0, 3.0)))
+            records.append(SweepRecord(f, 1.0, 0.0, q, 1.0, 1.0, 0.0, False))
+    chunks = []
+    while sum(chunks) < n:
+        chunks.append(draw(st.integers(min_value=1, max_value=8)))
+    return records, chunks
+
+
+@given(case=chunked_records())
+@settings(max_examples=400)
+def test_property_dip_window_equals_whole_list_detection(case):
+    records, chunks = case
+    window = TuningDipWindow(500.0, 3e5)
+    start = 0
+    for size in chunks:
+        window.extend(records[start:start + size])
+        start += size
+    usable = sum(not r.singular for r in records)
+    assert window.usable == usable
+    if usable < 3:
+        with pytest.raises(ValueError):
+            window.close()
+    else:
+        assert window.close() == reference_tuning_dips(records, 500.0, 3e5)
+
+
+@pytest.mark.parametrize("length, harmonics", [(500.0, [1, 2, 3]), (300.0, [1, 2])])
+def test_dip_window_in_chunks_equals_whole_list_detection(length, harmonics):
+    records = run_sweep(experiment_config(length))
+    expected = reference_tuning_dips(records, length, 3e5)
+    assert [d.n_matched for d in expected if d.n_matched] == harmonics
+    assert detect_tuning_dips(records, length, 3e5) == expected
+    for size in (1, 2, 3, 7, 250):
+        window = TuningDipWindow(length, 3e5)
+        for start in range(0, len(records), size):
+            window.extend(iter(records[start:start + size]))
+        assert window.close() == expected
+
+
 # --- the fused loop against the scalar oracle --------------------------------
 
 
@@ -375,7 +432,7 @@ def test_property_fused_loop_is_bit_identical_to_scalar_oracle(cfg):
 
 def test_sweep_points_solves_arbitrary_frequencies():
     cfg = experiment_config(500.0, load=LoadSpec(0.0, C_RESONANT_75HZ))
-    records = sweep_points(cfg, [75.0, 437.3, 60.0])
+    records = list(sweep_points(cfg, [75.0, 437.3, 60.0]))
     assert [r.f for r in records] == [75.0, 437.3, 60.0]
     assert [r.singular for r in records] == [True, False, False]
     assert records == [oracle_record(cfg, f) for f in (75.0, 437.3, 60.0)]

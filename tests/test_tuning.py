@@ -40,6 +40,14 @@ class TestTunedLengths:
         with pytest.raises(ValueError):
             tuned_lengths(Frequency(50.0), V, 0)
 
+    def test_rejects_lengths_out_of_float_range(self):
+        with pytest.raises(ValueError, match=r"frequency 1e-310 Hz is out of float range"):
+            tuned_lengths(Frequency(1e-310), V, 3)
+        # n*v fits for n = 3 (1.5e308) and overflows to inf for n = 4
+        assert tuned_lengths(Frequency(1.0), 5e307, 3)[-1].value == 7.5e307
+        with pytest.raises(ValueError, match="out of float range"):
+            tuned_lengths(Frequency(1.0), 5e307, 4)
+
 
 class TestTuningFrequencies:
     def test_500_km_harmonics(self):
@@ -63,6 +71,13 @@ class TestTuningFrequencies:
             tuning_frequencies(500.0, V, 0)
         with pytest.raises(ValueError):
             tuning_frequencies(500.0, 0.0, 1)
+
+    def test_rejects_frequencies_out_of_float_range(self):
+        with pytest.raises(ValueError, match=r"length 1e-310 km is out of float range"):
+            tuning_frequencies(1e-310, V, 3)
+        assert tuning_frequencies(1.0, 5e307, 3)[-1].value == 7.5e307
+        with pytest.raises(ValueError, match="out of float range"):
+            tuning_frequencies(1.0, 5e307, 4)
 
 
 class TestIsTuned:

@@ -62,6 +62,35 @@ def test_hashable_and_equal_by_value(value, twin):
     assert len({value, twin}) == 1
 
 
+# (a valid value, a field, a value __new__ rejects for it) per validating type
+VALIDATING = [
+    (LineParameters(L=1e-3, C=1e-8), "L", -1.0),
+    (Frequency(50.0), "f", -5.0),
+    (LoadSpec(1.0, 0.0), "g_load", -1.0),
+    (PowerTransferInputs(vs_mag=1.0, vr_mag=1.0, delta=0.1, x=1.0), "x", 0.0),
+    (SweepConfig(line=default_line(), length=500.0, source_voltage=220e3,
+                 load=LoadSpec(1.0, 0.0), f_start=50.0, f_end=1000.0, n_points=951),
+     "n_points", 1),
+]
+
+
+@pytest.mark.parametrize("value, field, bad", VALIDATING,
+                         ids=lambda v: type(v).__name__ if hasattr(v, "_fields") else "")
+def test_make_and_replace_validate(value, field, bad):
+    cls = type(value)
+    with pytest.raises(ValueError):
+        cls(**{**value._asdict(), field: bad})
+    with pytest.raises(ValueError):
+        value._replace(**{field: bad})
+    with pytest.raises(ValueError):
+        cls._make(bad if name == field else v for name, v in zip(cls._fields, value))
+    with pytest.raises(TypeError):
+        cls._make(tuple(value)[:-1])
+    # valid input still builds the type
+    assert type(value._replace()) is cls and value._replace() == value
+    assert type(cls._make(iter(value))) is cls and cls._make(iter(value)) == value
+
+
 def test_cli_import_loads_no_dataclass_machinery():
     # timing-free guard on the start-up cost of every tunedline process
     probe = (
