@@ -16,7 +16,6 @@ from .linemodel import (
     WaveQuantities,
     abcd_exact,
     abcd_lossless,
-    cascade,
     default_line,
     nominal_pi,
     pi_cascade_oracle,
@@ -64,7 +63,6 @@ __all__ = [
     "WaveQuantities",
     "abcd_exact",
     "abcd_lossless",
-    "cascade",
     "default_line",
     "nominal_pi",
     "pi_cascade_oracle",

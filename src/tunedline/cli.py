@@ -97,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_tuning(args: argparse.Namespace) -> int:
     if args.length is not None:
-        if args.length <= 0:
-            raise ValueError("--length must be positive")
         solutions = tuning_frequencies(args.length, args.velocity, args.n_max)
         unit, title = "Hz", f"tuning frequencies for a {args.length:g} km line"
     else:

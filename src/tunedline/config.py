@@ -104,32 +104,24 @@ class _Section:
     def _where(self, key: str) -> str:
         return f"{self.origin}: [{self.name}] {key}"
 
-    def get(self, key: str, units: dict[str, float], default: float | None = None) -> float:
-        self.seen.add(key)
-        if key not in self.raw:
-            if default is not None:
-                return default
-            raise ConfigError(f"{self._where(key)} is required")
-        return parse_quantity(self.raw[key], units, where=self._where(key))
-
     def get_str(self, key: str, default: str | None = None) -> str:
         self.seen.add(key)
-        if key not in self.raw:
-            if default is not None:
-                return default
+        if key in self.raw:
+            return self.raw[key].strip()
+        if default is None:
             raise ConfigError(f"{self._where(key)} is required")
-        return self.raw[key].strip()
+        return default
+
+    def get(self, key: str, units: dict[str, float], default: str | None = None) -> float:
+        text = self.get_str(key, default)
+        return parse_quantity(text, units, where=self._where(key))
 
     def get_int(self, key: str) -> int:
-        self.seen.add(key)
-        if key not in self.raw:
-            raise ConfigError(f"{self._where(key)} is required")
+        text = self.get_str(key)
         try:
-            return int(self.raw[key])
+            return int(text)
         except ValueError:
-            raise ConfigError(
-                f"{self._where(key)}: {self.raw[key]!r} is not an integer"
-            ) from None
+            raise ConfigError(f"{self._where(key)}: {text!r} is not an integer") from None
 
     def has(self, key: str) -> bool:
         return key in self.raw
@@ -167,8 +159,8 @@ def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
         line = LineParameters(
             L=line_sec.get("l", _L_PER_KM),
             C=line_sec.get("c", _C_PER_KM),
-            r=line_sec.get("r", _R_PER_KM, default=0.0),
-            g=line_sec.get("g", _G_PER_KM, default=0.0),
+            r=line_sec.get("r", _R_PER_KM, default="0"),
+            g=line_sec.get("g", _G_PER_KM, default="0"),
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: [line]: {exc}") from None
@@ -209,12 +201,12 @@ def _parse_load(sec: _Section, origin: str) -> LoadSpec:
     try:
         if kind == "admittance":
             load = LoadSpec(
-                g_load=sec.get("g_load", _CONDUCTANCE, default=0.0),
-                c_load=sec.get("c_load", _CAPACITANCE, default=0.0),
+                g_load=sec.get("g_load", _CONDUCTANCE, default="0"),
+                c_load=sec.get("c_load", _CAPACITANCE, default="0"),
             )
         elif kind == "fixed-capacitance-rated":
             rated_v = sec.get("rated_v", _VOLT)
-            g_load = sec.get("g_load", _CONDUCTANCE, default=0.0)
+            g_load = sec.get("g_load", _CONDUCTANCE, default="0")
             if sec.has("rated_p"):
                 # resistive component given as active power at the rating voltage
                 g_load += sec.get("rated_p", _ACTIVE) / rated_v**2
@@ -227,7 +219,7 @@ def _parse_load(sec: _Section, origin: str) -> LoadSpec:
         elif kind == "impedance":
             load = LoadSpec.from_impedance(
                 resistance=sec.get("resistance", _RESISTANCE),
-                c_load=sec.get("c_load", _CAPACITANCE, default=0.0),
+                c_load=sec.get("c_load", _CAPACITANCE, default="0"),
             )
         else:
             raise ConfigError(f"{origin}: [load] kind must be one of "
@@ -236,6 +228,8 @@ def _parse_load(sec: _Section, origin: str) -> LoadSpec:
         raise
     except ValueError as exc:
         raise ConfigError(f"{origin}: [load]: {exc}") from None
+    except ArithmeticError:  # rated_v**2 overflows, or is zero under rated_p
+        raise ConfigError(f"{origin}: [load]: ratings give a load out of float range") from None
     sec.check_no_extras()
     return load
 
@@ -245,10 +239,7 @@ def _parse_model(text: str, origin: str) -> tuple[str, int]:
         return text, 100
     match = _MODEL_RE.match(text)
     if match:
-        sections = int(match.group(1))
-        if sections < 1:
-            raise ConfigError(f"{origin}: pi-cascade needs at least 1 section")
-        return "pi-cascade", sections
+        return "pi-cascade", int(match.group(1))
     raise ConfigError(
         f"{origin}: [sweep] model must be exact, lossless, pi-cascade or pi-cascade(N), "
         f"got {text!r}"

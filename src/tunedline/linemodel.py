@@ -15,9 +15,10 @@ Zc = sqrt(z/y) the characteristic impedance.
 This module provides the exact hyperbolic model, the lossless
 trigonometric simplification, the lumped nominal-pi approximation, and a
 pi-section cascade that converges to the exact model and serves as an
-independent numerical oracle.  The cascade of N equal sections is a
-literal matrix product formed by repeated squaring, so it costs
-O(log N) two-port products per frequency.
+independent numerical oracle.  Two-ports chain with `@`
+(`TwoPort.__matmul__`), the sending-side port on the left; the cascade
+of N equal sections is a literal `@` product formed by repeated
+squaring, so it costs O(log N) two-port products per frequency.
 
 Units: lengths in km, frequency in Hz, impedances in ohm, admittances in
 siemens.  All functions are pure and safe for concurrent use.
@@ -40,7 +41,6 @@ __all__ = [
     "abcd_exact",
     "abcd_lossless",
     "nominal_pi",
-    "cascade",
     "pi_cascade_oracle",
     "RECIPROCITY_TOL",
 ]
@@ -233,21 +233,6 @@ def nominal_pi(params: LineParameters, length: float, freq: Frequency) -> TwoPor
     return TwoPort(a, z_total, y_total * (1.0 + zy / 4.0), a)
 
 
-def cascade(first: TwoPort, second: TwoPort) -> TwoPort:
-    """Chain two two-ports, `first` on the sending side.
-
-    Both operands must satisfy reciprocity within RECIPROCITY_TOL; the
-    product then satisfies it as well (det of product = product of dets).
-    """
-    for name, tp in (("first", first), ("second", second)):
-        if tp.reciprocity_defect() > RECIPROCITY_TOL:
-            raise ValueError(
-                f"{name} operand violates reciprocity: |ad - bc - 1| = "
-                f"{tp.reciprocity_defect():.3e}"
-            )
-    return first @ second
-
-
 def pi_cascade_oracle(
     params: LineParameters, length: float, freq: Frequency, n_sections: int
 ) -> TwoPort:
@@ -257,12 +242,12 @@ def pi_cascade_oracle(
     1/n_sections**2), which makes it an independent check on the
     hyperbolic closed form.
 
-    The chain is still a literal product of n_sections equal sections,
-    formed by repeated squaring: about 2*log2(n_sections) products in
-    place of n_sections - 1.  Sections chain with `@`, not cascade(): a
-    section far into the stopband (|ZY| >> 4) already misses the
-    reciprocity tolerance by roundoff, and the oracle must still return
-    its product.
+    The chain is still a literal `@` product of n_sections equal
+    sections, formed by repeated squaring: about 2*log2(n_sections)
+    products in place of n_sections - 1.  Nothing checks reciprocity on
+    the way: a section far into the stopband (|ZY| >> 4) already misses
+    RECIPROCITY_TOL by roundoff, and the oracle must still return its
+    product.
     """
     if n_sections < 1:
         raise ValueError("n_sections must be at least 1")

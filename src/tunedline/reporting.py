@@ -20,11 +20,10 @@ keyed by the CSV header, with shortest-repr floats (`float.__repr__`, as
 are `f_hz value` pairs that reuse the CSV's 17-digit cells verbatim, one
 line per non-singular row.
 
-`format_sweep_csv`, `format_records_json` and `format_plot_data` render
-a whole list of rows.  `RecordWriter` streams the same three formats
-into open files a chunk of rows at a time, through the same row
-templates, and gives the same bytes however the rows are chunked, so
-the `sweep` command never holds more than one chunk.
+`RecordWriter` is the one renderer of records.csv, records.json and the
+plot files.  It streams them into open files a chunk of rows at a time
+and gives the same bytes however the rows are chunked, so the `sweep`
+command never holds more than one chunk.
 
 Every file is written through one atomic writer, `open_atomic`: a
 context manager that yields the handle of a `<name>.partial` sibling,
@@ -53,9 +52,6 @@ __all__ = [
     "CSV_FIELDS",
     "PLOT_QUANTITIES",
     "three_phase_row",
-    "format_sweep_csv",
-    "format_records_json",
-    "format_plot_data",
     "RecordWriter",
     "read_sweep_csv",
     "open_atomic",
@@ -107,78 +103,19 @@ def three_phase_row(rec: SweepRecord) -> tuple:
     )
 
 
-# The chunk forms below render any run of rows without the file's head
-# or tail; the whole-file forms and RecordWriter add those.
+def _json_element(row: tuple) -> str:
+    """The records.json array element of one three_phase_row row.
 
-
-def _csv_lines(rows: list[tuple]) -> str:
-    """CSV lines of three_phase_row rows, each newline-terminated."""
-    return "".join(
-        [_SINGULAR_ROW % (row[0], row[4]) if row[7] else _ROW % row[:7] for row in rows]
-    )
-
-
-def _json_elements(rows: list[tuple]) -> str:
-    """records.json array elements of three_phase_row rows, joined by ",\n".
-
-    Each row is one template substitution instead of a pass through the
-    pure-Python encoder that indent=2 selects.
+    One template substitution instead of a pass through the pure-Python
+    encoder that indent=2 selects.
     """
-    elements = []
-    append = elements.append
-    for row in rows:
-        values = (row[0], row[4]) if row[7] else row[:7]
-        if not math.isfinite(sum(values)):
-            # %r would write nan/inf where JSON has NaN/Infinity, so the
-            # encoder renders this row ([2:-2] drops its "[\n" and "\n]").
-            # The sum is finite only if every cell is; math.fsum would
-            # raise on inf + -inf.
-            append(json.dumps([dict(zip(CSV_FIELDS, row))], indent=2)[2:-2])
-        elif row[7]:
-            append(_JSON_SINGULAR_ROW % values)
-        else:
-            append(_JSON_ROW % values)
-    return ",\n".join(elements)
-
-
-def _plot_lines(csv_lines: str) -> list[str]:
-    """Plot-file lines per PLOT_QUANTITIES entry of _csv_lines text.
-
-    Each is one newline-terminated "f_hz value" line per non-singular row.
-    The lines reuse the CSV's %.17g cells, so no float is formatted twice;
-    singular rows, whose p_r_mw cell is empty, are left out.
-    """
-    rows = [line.split(",", 4) for line in csv_lines.splitlines()]
-    rows = [cells for cells in rows if cells[1]]
-    return [
-        "".join([f"{r[0]} {r[column]}\n" for r in rows])
-        for column in range(1, 1 + len(PLOT_QUANTITIES))
-    ]
-
-
-def format_sweep_csv(rows: list[tuple]) -> str:
-    """CSV text of three_phase_row rows, header first, newline-terminated."""
-    return f"{CSV_HEADER}\n{_csv_lines(rows)}"
-
-
-def format_records_json(rows: list[tuple]) -> str:
-    """records.json text of three_phase_row rows, newline-terminated.
-
-    Byte-identical to
-    json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n".
-    """
-    return f"[\n{_json_elements(rows)}\n]\n" if rows else "[]\n"
-
-
-def format_plot_data(csv_text: str) -> dict[str, str]:
-    """Plot file text per quantity (p_r_mw, q_r_mvar, q_line_mvar).
-
-    Each text is a "# f_hz <quantity>" header and one "f_hz value" line per
-    non-singular row of csv_text (format_sweep_csv output), newline-
-    terminated.
-    """
-    lines = _plot_lines(csv_text.partition("\n")[2])
-    return {q: f"# f_hz {q}\n{text}" for q, text in zip(PLOT_QUANTITIES, lines)}
+    values = (row[0], row[4]) if row[7] else row[:7]
+    if not math.isfinite(sum(values)):
+        # %r would write nan/inf where JSON has NaN/Infinity, so the encoder
+        # renders this row ([2:-2] drops its "[\n" and "\n]").  The sum is
+        # finite only if every cell is; math.fsum would raise on inf + -inf.
+        return json.dumps([dict(zip(CSV_FIELDS, row))], indent=2)[2:-2]
+    return (_JSON_SINGULAR_ROW if row[7] else _JSON_ROW) % values
 
 
 class RecordWriter:
@@ -187,10 +124,9 @@ class RecordWriter:
     csv takes records.csv, records_json records.json (or None) and plots
     one plot file per PLOT_QUANTITIES entry, in that order (or none).
     The heads are written on construction, each `write` appends one chunk
-    of three_phase_row rows, and `close` ends records.json.  The files
-    then hold what format_sweep_csv, format_records_json and
-    format_plot_data give for all the rows at once, however they were
-    chunked.
+    of three_phase_row rows, and `close` ends records.json.  The bytes do
+    not depend on how the rows were chunked.  This is the only code that
+    writes these files' heads, separators and tails.
     """
 
     def __init__(
@@ -206,14 +142,21 @@ class RecordWriter:
         """Append one chunk of three_phase_row rows to every open file."""
         if not rows:
             return
-        csv_lines = _csv_lines(rows)
+        csv_lines = "".join(
+            [_SINGULAR_ROW % (row[0], row[4]) if row[7] else _ROW % row[:7] for row in rows]
+        )
         self._csv.write(csv_lines)
         if self._json is not None:
-            self._json.write(self._json_separator + _json_elements(rows))
+            self._json.write(self._json_separator + ",\n".join(map(_json_element, rows)))
             self._json_separator = ",\n"
         if self._plots:
-            for fh, lines in zip(self._plots, _plot_lines(csv_lines)):
-                fh.write(lines)
+            # "f_hz value" lines from the CSV's %.17g cells, so no float is
+            # formatted twice; singular rows, whose p_r_mw cell is empty,
+            # are left out
+            cells = [line.split(",", 4) for line in csv_lines.splitlines()]
+            cells = [c for c in cells if c[1]]
+            for column, fh in enumerate(self._plots, 1):
+                fh.write("".join([f"{c[0]} {c[column]}\n" for c in cells]))
 
     def close(self) -> None:
         """Write the records.json tail; call once, after the last write."""

@@ -1,8 +1,12 @@
-"""Shared helpers: two-port comparison at mixed entry scales, reference dips."""
+"""Shared helpers: two-port comparison at mixed entry scales, reference dips,
+and record-file oracles."""
 
 from __future__ import annotations
 
+import json
+
 from tunedline import Frequency, TuningDip, TwoPort, is_tuned
+from tunedline.reporting import CSV_FIELDS, CSV_HEADER
 
 
 def twoport_max_error(m1: TwoPort, m2: TwoPort, z_ref: float = 300.0) -> float:
@@ -68,3 +72,33 @@ def reference_tuning_dips(records: list, length: float, velocity: float) -> list
             n = nearest.n if abs(rec.f - nearest.value) <= 2.0 * step else 0
             dips.append(TuningDip(f_detected=rec.f, n_matched=n, q_line_at_dip=rec.q_line))
     return dips
+
+
+def per_cell_line(row: tuple) -> str:
+    """A CSV line built cell by cell with format(x, '.17g')."""
+    cells = ["" if value is None else format(value, ".17g") for value in row[:7]]
+    return ",".join([*cells, "true" if row[7] else "false"])
+
+
+def records_csv_per_cell(rows: list[tuple]) -> str:
+    """records.csv built line by line with per_cell_line."""
+    return "".join(f"{line}\n" for line in [CSV_HEADER, *map(per_cell_line, rows)])
+
+
+def records_json_by_encoder(rows: list[tuple]) -> str:
+    """records.json as the JSON encoder writes it."""
+    return json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n"
+
+
+def plot_data_per_cell(rows: list[tuple]) -> dict[str, str]:
+    """The plot files built cell by cell with format(x, '.17g') from the rows."""
+    out = {}
+    for quantity in ("p_r_mw", "q_r_mvar", "q_line_mvar"):
+        column = CSV_FIELDS.index(quantity)
+        lines = [f"# f_hz {quantity}"]
+        for row in rows:
+            value = row[column]
+            if value is not None:
+                lines.append(f"{format(row[0], '.17g')} {format(value, '.17g')}")
+        out[quantity] = "\n".join(lines) + "\n"
+    return out

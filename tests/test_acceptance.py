@@ -18,7 +18,6 @@ from tunedline import (
     LoadSpec,
     TwoPort,
     abcd_exact,
-    cascade,
     complex_power_accounting,
     default_line,
     detect_tuning_dips,
@@ -215,7 +214,7 @@ def test_criterion_8_conservation_and_reciprocity(capsys):
             nominal_pi(params, length, freq),
             pi_cascade_oracle(params, length, freq, n_sections),
         ]
-        built.append(cascade(built[0], built[int(rng.integers(0, 3))]))
+        built.append(built[0] @ built[int(rng.integers(0, 3))])
         ports.extend(built)
     worst_defect = max(tp.reciprocity_defect() for tp in ports[:1000])
     assert worst_defect < 1e-10

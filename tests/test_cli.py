@@ -12,16 +12,18 @@ import tracemalloc
 
 import pytest
 
-from conftest import reference_tuning_dips
+from conftest import (
+    plot_data_per_cell,
+    records_csv_per_cell,
+    records_json_by_encoder,
+    reference_tuning_dips,
+)
 from tunedline import cli, run_sweep
 from tunedline.cli import main
 from tunedline.config import bundled_config_path, load_sweep_config
 from tunedline.reporting import (
     CSV_FIELDS,
     dips_report_json,
-    format_plot_data,
-    format_records_json,
-    format_sweep_csv,
     read_sweep_csv,
     three_phase_row,
 )
@@ -119,6 +121,8 @@ class TestTuningCommand:
     def test_invalid_length(self, capsys):
         assert main(["tuning", "--length", "-5"]) == 2
         assert "error" in capsys.readouterr().err
+        assert main(["tuning", "--length", "0"]) == 2
+        assert capsys.readouterr().err == "error: length must be positive\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -361,6 +365,42 @@ class TestSweepCommand:
         assert "ulp(f_end)" in capsys.readouterr().err
         assert not (out / "records.csv").exists()
 
+    @pytest.mark.parametrize(
+        "rated_v, rated_p",
+        [
+            ("0 kV", "rated_p = 100 MW"),  # rated_p / 0
+            ("1e-200 V", "rated_p = 100 MW"),  # rated_v**2 underflows to 0
+            ("1e200 V", "rated_p = 100 MW"),  # rated_v**2 overflows
+            ("1e200 V", ""),  # rated_v**2 overflows in the capacitor sizing
+        ],
+    )
+    def test_out_of_range_rating_exits_2_without_output(self, capsys, tmp_path, rated_v,
+                                                        rated_p):
+        text = bundled_config_path("experiment_500km").read_text()
+        assert "rated_v = 220 kV" in text and "rated_p = 100 MW" in text
+        cfg_file = tmp_path / "rating.ini"
+        cfg_file.write_text(
+            text.replace("rated_v = 220 kV", f"rated_v = {rated_v}")
+            .replace("rated_p = 100 MW", rated_p)
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: [load]: ratings give a load out of float range\n"
+        )
+        assert not out.exists()
+
+    def test_zero_pi_sections_exits_2_without_output(self, capsys, tmp_path):
+        text = bundled_config_path("experiment_500km").read_text()
+        cfg_file = tmp_path / "pi0.ini"
+        cfg_file.write_text(text.replace("model = lossless", "model = pi-cascade(0)"))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: pi_sections must be at least 1\n"
+        )
+        assert not out.exists()
+
     def test_two_points_write_rows_and_no_dips(self, capsys, tmp_path):
         # fewer than 3 usable rows: no dip can be located, and that is not an error
         text = bundled_config_path("experiment_500km").read_text()
@@ -423,14 +463,13 @@ class TestSweepStreaming:
         cfg = load_sweep_config(path)
         records = run_sweep(cfg)
         rows = [three_phase_row(r) for r in records]
-        csv_text = format_sweep_csv(rows)
         expected = {
-            "records.csv": csv_text,
-            "records.json": format_records_json(rows),
+            "records.csv": records_csv_per_cell(rows),
+            "records.json": records_json_by_encoder(rows),
             "dips.json": dips_report_json(
                 reference_tuning_dips(records, cfg.length, cfg.line.velocity)
             ),
-            **{f"{q}.dat": text for q, text in format_plot_data(csv_text).items()},
+            **{f"{q}.dat": text for q, text in plot_data_per_cell(rows).items()},
         }
         assert any(r.singular for r in records) == (config == "resonant")
         assert sorted(p.name for p in out.iterdir()) == sorted([*expected, "manifest.json"])

@@ -1,11 +1,11 @@
-"""Tests for the three-phase conversion and the CSV, JSON and plot templates."""
+"""Tests for the three-phase conversion and the record file writer."""
 
 from __future__ import annotations
 
 import io
-import json
 
 import pytest
+from conftest import plot_data_per_cell, records_csv_per_cell, records_json_by_encoder
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +15,6 @@ from tunedline.reporting import (
     CSV_HEADER,
     PLOT_QUANTITIES,
     RecordWriter,
-    format_plot_data,
-    format_records_json,
-    format_sweep_csv,
     open_atomic,
     read_sweep_csv,
 )
@@ -41,10 +38,19 @@ rows_strategy = st.lists(st.one_of(plain_row, singular_row), max_size=12)
 SINGULAR_75 = (75.0, None, None, None, 220.0, None, None, True)
 
 
-def per_cell_line(row: tuple) -> str:
-    """A CSV line built cell by cell with format(x, '.17g')."""
-    cells = ["" if value is None else format(value, ".17g") for value in row[:7]]
-    return ",".join([*cells, "true" if row[7] else "false"])
+def write_records(rows: list[tuple], cuts: list[int] = ()) -> tuple[str, str, list[str]]:
+    """records.csv, records.json and plot file texts RecordWriter gives for rows.
+
+    The rows go in as chunks split at the cuts (empty chunks included).
+    """
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    csv, records_json = io.StringIO(), io.StringIO()
+    plots = [io.StringIO() for _ in PLOT_QUANTITIES]
+    writer = RecordWriter(csv, records_json, plots)
+    for start, end in zip(bounds, bounds[1:]):
+        writer.write(rows[start:end])
+    writer.close()
+    return csv.getvalue(), records_json.getvalue(), [fh.getvalue() for fh in plots]
 
 
 def test_csv_fields_follow_header():
@@ -56,14 +62,14 @@ def test_csv_fields_follow_header():
 @settings(max_examples=500)
 def test_template_line_matches_per_cell_format(values):
     row = (*values, False)
-    assert format_sweep_csv([row]) == f"{CSV_HEADER}\n{per_cell_line(row)}\n"
+    assert write_records([row])[0] == records_csv_per_cell([row])
 
 
 @given(f=finite, vs_kv=finite)
 @settings(max_examples=200)
 def test_singular_template_line_matches_per_cell_format(f, vs_kv):
     row = (f, None, None, None, vs_kv, None, None, True)
-    assert format_sweep_csv([row]) == f"{CSV_HEADER}\n{per_cell_line(row)}\n"
+    assert write_records([row])[0] == records_csv_per_cell([row])
 
 
 @given(values=st.tuples(*[finite] * 7))
@@ -90,64 +96,23 @@ def test_three_phase_row_of_singular_record():
     assert row == (75.0, None, None, None, 127e3 * 3.0**0.5 / 1e3, None, None, True)
 
 
-def records_json_by_encoder(rows: list[tuple]) -> str:
-    """records.json as the JSON encoder writes it."""
-    return json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n"
-
-
-def plot_data_per_cell(rows: list[tuple]) -> dict[str, str]:
-    """The plot files built cell by cell with format(x, '.17g') from the rows."""
-    out = {}
-    for quantity in ("p_r_mw", "q_r_mvar", "q_line_mvar"):
-        column = CSV_FIELDS.index(quantity)
-        lines = [f"# f_hz {quantity}"]
-        for row in rows:
-            value = row[column]
-            if value is not None:
-                lines.append(f"{format(row[0], '.17g')} {format(value, '.17g')}")
-        out[quantity] = "\n".join(lines) + "\n"
-    return out
-
-
-@given(rows=rows_strategy)
-@example(rows=[])
-@example(rows=[SINGULAR_75])
-@example(rows=[SINGULAR_75, (float("nan"), None, None, None, float("inf"), None, None, True)])
-@example(rows=[(1.0, float("inf"), float("-inf"), -0.0, 5e-324, 0.1, float("nan"), False)])
-@settings(max_examples=200)
-def test_records_json_matches_encoder(rows):
-    assert format_records_json(rows) == records_json_by_encoder(rows)
-
-
-@given(rows=rows_strategy)
-@example(rows=[])
-@example(rows=[SINGULAR_75])
-@example(rows=[(1.0, float("inf"), float("-inf"), -0.0, 5e-324, 0.1, float("nan"), False)])
-@settings(max_examples=200)
-def test_plot_data_matches_per_cell_format(rows):
-    plot_data = format_plot_data(format_sweep_csv(rows))
-    assert plot_data == plot_data_per_cell(rows)
-    assert list(plot_data) == ["p_r_mw", "q_r_mvar", "q_line_mvar"]
-
-
 @given(rows=rows_strategy, cuts=st.lists(st.integers(min_value=0, max_value=12), max_size=6))
 @example(rows=[], cuts=[])
 @example(rows=[], cuts=[0, 0])
+@example(rows=[SINGULAR_75], cuts=[])
 @example(rows=[SINGULAR_75], cuts=[0, 1, 1])
+@example(rows=[SINGULAR_75, (float("nan"), None, None, None, float("inf"), None, None, True)],
+         cuts=[1])
+@example(rows=[(1.0, float("inf"), float("-inf"), -0.0, 5e-324, 0.1, float("nan"), False)],
+         cuts=[])
 @settings(max_examples=200)
 def test_record_writer_chunks_equal_whole_list_formatters(rows, cuts):
-    # rows split at the cuts (empty chunks included) give the bytes of one run
-    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
-    csv, records_json = io.StringIO(), io.StringIO()
-    plots = [io.StringIO() for _ in PLOT_QUANTITIES]
-    writer = RecordWriter(csv, records_json, plots)
-    for start, end in zip(bounds, bounds[1:]):
-        writer.write(rows[start:end])
-    writer.close()
-    assert csv.getvalue() == format_sweep_csv(rows)
-    assert records_json.getvalue() == format_records_json(rows)
-    plot_data = format_plot_data(format_sweep_csv(rows))
-    assert [fh.getvalue() for fh in plots] == [plot_data[q] for q in PLOT_QUANTITIES]
+    # rows split at the cuts give the bytes the whole-list oracles give for all rows
+    csv_text, json_text, plot_texts = write_records(rows, cuts)
+    assert csv_text == records_csv_per_cell(rows)
+    assert json_text == records_json_by_encoder(rows)
+    plot_data = plot_data_per_cell(rows)
+    assert plot_texts == [plot_data[q] for q in PLOT_QUANTITIES]
 
 
 def test_open_atomic_renames_on_success(tmp_path):

@@ -29,7 +29,9 @@ from tunedline import (
     run_sweep,
     solve_receiving_end,
     sweep_points,
+    wave_quantities,
 )
+from tunedline.config import bundled_config_path, load_sweep_config
 
 LINE = default_line()
 
@@ -185,6 +187,18 @@ class TestRunSweep:
         assert probe.q_line == pytest.approx(result.q_line, rel=1e-9, abs=1e-3)
 
 
+def lossy_tuning_frequency(line: LineParameters, length: float, n: int) -> float:
+    """The f where Im(gamma)*length = n*pi, by bisection around the lossless harmonic."""
+    lo, hi = 0.5 * n * line.velocity / (2.0 * length), 2.0 * n * line.velocity / (2.0 * length)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if wave_quantities(line, Frequency(mid)).gamma.imag * length < n * math.pi:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class TestDetectTuningDips:
     def test_500km_dips_match_first_three_harmonics(self):
         records = run_sweep(experiment_config(500.0))
@@ -202,6 +216,22 @@ class TestDetectTuningDips:
         assert sorted(matched) == [1, 2]
         assert matched[1].f_detected == pytest.approx(500.0, abs=1.0)
         assert matched[2].f_detected == pytest.approx(1000.0, abs=1.0)
+
+    def test_lossy_exact_line_dips_match_first_three_harmonics(self):
+        # dips are matched against the lossless harmonics n/(2*l*sqrt(LC)),
+        # while a lossy line tunes where beta*l = n*pi with beta = Im sqrt(z*y)
+        cfg = load_sweep_config(bundled_config_path("experiment_500km"))
+        line = cfg.line._replace(r=0.03, g=5e-9)
+        cfg = cfg._replace(line=line, model="exact")
+        assert cfg.n_points == 951
+        records = run_sweep(cfg)
+        step = records[1].f - records[0].f
+        dips = detect_tuning_dips(records, cfg.length, line.velocity)
+        matched = {d.n_matched: d.f_detected for d in dips if d.n_matched > 0}
+        assert sorted(matched) == [1, 2, 3]
+        for n, f_detected in matched.items():
+            assert f_detected == pytest.approx(300.0 * n, abs=1.0)
+            assert abs(f_detected - lossy_tuning_frequency(line, cfg.length, n)) <= 2.0 * step
 
     def test_unmatched_minima_are_reported_with_n_zero(self):
         # q_line = Qs - Qr also crosses zero between harmonics (for example
