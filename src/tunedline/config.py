@@ -228,7 +228,7 @@ def _parse_load(sec: _Section, origin: str) -> LoadSpec:
         raise
     except ValueError as exc:
         raise ConfigError(f"{origin}: [load]: {exc}") from None
-    except ArithmeticError:  # rated_v**2 overflows, or is zero under rated_p
+    except ArithmeticError:  # rated_v**2 overflows, is zero under rated_p, or C over/underflows
         raise ConfigError(f"{origin}: [load]: ratings give a load out of float range") from None
     sec.check_no_extras()
     return load

@@ -248,6 +248,10 @@ def pi_cascade_oracle(
     the way: a section far into the stopband (|ZY| >> 4) already misses
     RECIPROCITY_TOL by roundoff, and the oracle must still return its
     product.
+
+    This is the oracle for the `pi-cascade` sweep, which does not call
+    it: the sweep forms the same product from local complex variables,
+    and the tests check it bit for bit against this function.
     """
     if n_sections < 1:
         raise ValueError("n_sections must be at least 1")

@@ -83,10 +83,16 @@ class LoadSpec(_Validated, namedtuple("LoadSpec", "g_load c_load")):
         rating voltage; the resulting C is then also the per-phase wye
         capacitance, since Q_3ph = w*C*V_ll^2.  An optional conductance
         models a resistive load component alongside the bank.
+
+        Raises OverflowError when the ratings give no finite positive C
+        (the denominator overflows, or the quotient underflows to 0).
         """
         if rated_q <= 0.0 or rated_v <= 0.0 or rated_f <= 0.0:
             raise ValueError("capacitor ratings must all be positive")
-        return cls(g_load=g_load, c_load=rated_q / (2.0 * math.pi * rated_f * rated_v**2))
+        c_load = rated_q / (2.0 * math.pi * rated_f * rated_v**2)
+        if c_load == 0.0 or math.isinf(c_load):
+            raise OverflowError("capacitor ratings give a capacitance out of float range")
+        return cls(g_load=g_load, c_load=c_load)
 
     @classmethod
     def from_impedance(cls, resistance: float, c_load: float = 0.0) -> "LoadSpec":

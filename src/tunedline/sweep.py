@@ -13,9 +13,19 @@ dip detection is a three-record sliding window over the same stream.
 The per-point loop fuses the two-port build, the terminal solve and the
 power accounting into plain local arithmetic.  Every expression keeps the
 operation order of the scalar functions in `linemodel` and `powerflow`
-(`abcd_lossless`, `abcd_exact`, `solve_receiving_end`,
-`complex_power_accounting`), so its records are bit-identical to theirs;
-those functions stay as the independent oracle the tests check it against.
+(`abcd_lossless`, `abcd_exact`, `pi_cascade_oracle`,
+`solve_receiving_end`, `complex_power_accounting`), so its records are
+bit-identical to theirs; those functions stay as the independent oracle
+the tests check it against, and the loop calls none of them.
+
+The pi-cascade chain is the oracle's repeated squaring of one
+`nominal_pi` section, with one shortcut: every power of the section is
+symmetric (a == d, bit for bit), because a*b == b*a and c*b == b*c in
+floating point.  Squaring a symmetric (a, b, c, a) therefore takes four
+complex products, a*a + b*c, a*b + a*b and c*a + c*a, where `@` takes
+eight; `x + x` is exact, and unlike `2*x` it keeps signed zeros and
+infinities as `@` does.  Multiplying the squares into the result is the
+full four-entry `@` product, since the result's d is not bitwise its a.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ import math
 from collections import namedtuple
 from typing import Iterable, Iterator, NamedTuple
 
-from .linemodel import Frequency, LineParameters, _Validated, pi_cascade_oracle
+from .linemodel import Frequency, LineParameters, _Validated
 from .powerflow import _SINGULARITY_REL, LoadSpec
 from .tuning import is_tuned
 
@@ -166,6 +176,8 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
     vs = complex(cfg.source_voltage / _SQRT3, 0.0)
     vs_mag = abs(vs)
     two_pi = 2.0 * math.pi
+    seg = length / cfg.pi_sections
+    squarings, bits = _chain_plan(cfg.pi_sections)
     try:
         for f in frequencies:
             omega = two_pi * f
@@ -186,8 +198,11 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
                 b = zc * sh
                 c = sh / zc
             else:
-                tp = pi_cascade_oracle(line, length, Frequency(f), cfg.pi_sections)
-                a, b, c, d = tp.a, tp.b, tp.c, tp.d
+                if seg == 0.0:  # length / N underflowed: nominal_pi rejects it
+                    raise ValueError
+                a, b, c, d = _pi_cascade(
+                    complex(r, omega * L), complex(g, omega * C), seg, squarings, bits
+                )
             y = complex(g_load, omega * c_load)
             den = a + b * y
             if den == 0 or abs(den) < _SINGULARITY_REL * abs(a):
@@ -207,6 +222,51 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
             yield SweepRecord(f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, False)
     except (ArithmeticError, ValueError):  # math.cos(inf) raises ValueError
         raise ValueError(f"solution out of float range at f = {f} Hz") from None
+
+
+def _chain_plan(n_sections: int) -> tuple[int, list[bool]]:
+    """How pi_cascade_oracle's repeated squaring walks the bits of N.
+
+    N = 2**squarings * (2*m + 1): the chain squares the section
+    `squarings` times and takes that power as the result, then squares on
+    once per bit of m, lowest first, multiplying the power into the result
+    where the bit is set.
+    """
+    squarings = (n_sections & -n_sections).bit_length() - 1
+    bits = [bool(n_sections >> k & 1) for k in range(squarings + 1, n_sections.bit_length())]
+    return squarings, bits
+
+
+def _pi_cascade(
+    z: complex, y: complex, seg: float, squarings: int, bits: list[bool]
+) -> tuple[complex, complex, complex, complex]:
+    """pi_cascade_oracle's (a, b, c, d), bit for bit, from the per-km z and y,
+    the section length seg and the `_chain_plan` of N.
+
+    The section is built as `nominal_pi` builds it.  Each power of it is
+    symmetric (a, b, c, a), and is squared with four products (see the
+    module docstring); the result takes the full `@` product.
+    """
+    z_total = z * seg
+    y_total = y * seg
+    zy = z_total * y_total
+    a = 1.0 + zy / 2.0
+    b = z_total
+    c = y_total * (1.0 + zy / 4.0)
+    for _ in range(squarings):
+        bc = b * c
+        ab = a * b
+        ca = c * a
+        a, b, c = a * a + bc, ab + ab, ca + ca
+    ra, rb, rc, rd = a, b, c, a
+    for bit in bits:
+        bc = b * c
+        ab = a * b
+        ca = c * a
+        a, b, c = a * a + bc, ab + ab, ca + ca
+        if bit:
+            ra, rb, rc, rd = ra * a + rb * c, ra * b + rb * a, rc * a + rd * c, rc * b + rd * a
+    return ra, rb, rc, rd
 
 
 class TuningDipWindow:

@@ -86,6 +86,14 @@ OVERFLOW_CASES = [
         STOPBAND_CONFIG.format(r=0, f_start=50, f_end=1e308, model="lossless"), 5e307,
         id="infinite-angle",
     ),
+    # length / N rounds to 0 km (5e-324 / 2 == 0.0): a zero-length section
+    # is no line, so the first point fails instead of solving an identity
+    pytest.param(
+        bundled_config_path("experiment_500km").read_text()
+        .replace("length = 500 km", "length = 5e-324 km")
+        .replace("model = lossless", "model = pi-cascade(2)"),
+        50.0, id="section-length-underflow",
+    ),
 ]
 
 
@@ -372,6 +380,8 @@ class TestSweepCommand:
             ("1e-200 V", "rated_p = 100 MW"),  # rated_v**2 underflows to 0
             ("1e200 V", "rated_p = 100 MW"),  # rated_v**2 overflows
             ("1e200 V", ""),  # rated_v**2 overflows in the capacitor sizing
+            ("1e154 V", "rated_p = 100 MW"),  # 2*pi*f*rated_v**2 overflows: C = 0
+            ("1e154 V", ""),  # 2*pi*f*rated_v**2 overflows: C = 0
         ],
     )
     def test_out_of_range_rating_exits_2_without_output(self, capsys, tmp_path, rated_v,

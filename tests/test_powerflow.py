@@ -81,6 +81,17 @@ class TestLoadSpec:
         with pytest.raises(ValueError):
             LoadSpec.from_rated_capacitor(100e6, 220e3, 50.0, g_load=bad)
 
+    @pytest.mark.parametrize(
+        "rated_q, rated_v",
+        [
+            (100e6, 1e154),  # 2*pi*f*V^2 overflows to inf, so Q/inf = 0
+            (5e-324, 220e3),  # Q/(2*pi*f*V^2) underflows to 0
+        ],
+    )
+    def test_rated_capacitor_out_of_float_range(self, rated_q, rated_v):
+        with pytest.raises(OverflowError):
+            LoadSpec.from_rated_capacitor(rated_q, rated_v, 50.0)
+
 
 class TestSolveReceivingEnd:
     def test_identity_line_passthrough(self):

@@ -32,6 +32,7 @@ from tunedline import (
     wave_quantities,
 )
 from tunedline.config import bundled_config_path, load_sweep_config
+from tunedline.sweep import _chain_plan, _pi_cascade
 
 LINE = default_line()
 
@@ -458,6 +459,100 @@ def test_property_fused_loop_is_bit_identical_to_scalar_oracle(cfg):
         # == on floats: the loop must reproduce the oracle bit for bit,
         # and flag exactly the points where the oracle raises ResonanceError
         assert rec == oracle_record(cfg, f)
+
+
+# --- the fused pi-cascade chain against pi_cascade_oracle --------------------
+
+# theta = omega * (length/N) * sqrt(LC) of one section: a lossless section's
+# |ZY| is theta**2, so theta past 2 puts every section in the stopband
+CHAIN_THETAS = (1e-3, 0.5, 1.9, 2.0, 2.1, 4.0, 30.0, 100.0)
+
+
+def pi_chain_case(n_sections: int, lossy: bool):
+    """A 500 km pi-cascade(n_sections) config and the frequencies at CHAIN_THETAS."""
+    line = LineParameters(L=1e-3, C=1.0 / 9.0e7, r=0.03 if lossy else 0.0,
+                          g=5e-9 if lossy else 0.0)
+    return _pi_chain_case(line, 500.0, LoadSpec(1e-3, 1e-6), n_sections, CHAIN_THETAS)
+
+
+def _pi_chain_case(line, length, load, n_sections, thetas):
+    cfg = SweepConfig(
+        line=line, length=length, source_voltage=220e3, load=load, f_start=1.0,
+        f_end=2.0, n_points=2, model="pi-cascade", pi_sections=n_sections,
+    )
+    scale = 2.0 * math.pi * (length / n_sections) * math.sqrt(line.L * line.C)
+    return cfg, [theta / scale for theta in thetas]
+
+
+@st.composite
+def pi_chain_cases(draw):
+    lossy = draw(st.booleans())
+    line = LineParameters(
+        L=draw(st.floats(min_value=5e-4, max_value=5e-3)),
+        C=draw(st.floats(min_value=5e-9, max_value=5e-8)),
+        r=draw(st.floats(min_value=0.0, max_value=0.1)) if lossy else 0.0,
+        g=draw(st.floats(min_value=0.0, max_value=1e-7)) if lossy else 0.0,
+    )
+    load = LoadSpec(
+        draw(st.sampled_from((0.0, 1e-3)) | st.floats(min_value=0.0, max_value=1e-2)),
+        draw(st.floats(min_value=0.0, max_value=1e-4)),
+    )
+    thetas = draw(st.lists(st.floats(min_value=-3.0, max_value=2.0).map(lambda e: 10.0**e),
+                           min_size=1, max_size=6))
+    return _pi_chain_case(line, draw(st.floats(min_value=10.0, max_value=2000.0)), load,
+                          draw(st.integers(min_value=1, max_value=10**5)), thetas)
+
+
+def fused_record_or_error(cfg: SweepConfig, f: float) -> SweepRecord | str:
+    """sweep_points' record at f, or the message of its ValueError."""
+    try:
+        return next(sweep_points(cfg, [f]))
+    except ValueError as exc:
+        return str(exc)
+
+
+def oracle_record_or_error(cfg: SweepConfig, f: float) -> SweepRecord | str:
+    """oracle_record, or the sweep's error where the oracle leaves the float range."""
+    error = f"solution out of float range at f = {f} Hz"
+    try:
+        rec = oracle_record(cfg, f)
+    except (ArithmeticError, ValueError):
+        return error
+    if not rec.singular and not math.isfinite(rec.p_r + rec.q_line + rec.delta_v):
+        return error
+    return rec
+
+
+@given(case=pi_chain_cases())
+@example(case=pi_chain_case(1, lossy=False))
+@example(case=pi_chain_case(1, lossy=True))
+@example(case=pi_chain_case(2, lossy=False))
+@example(case=pi_chain_case(1000, lossy=True))
+@example(case=pi_chain_case(1023, lossy=False))
+@example(case=pi_chain_case(1024, lossy=True))
+@example(case=pi_chain_case(65536, lossy=False))
+@example(case=pi_chain_case(100000, lossy=False))
+@example(case=pi_chain_case(100000, lossy=True))
+@settings(max_examples=300, deadline=None)
+def test_property_fused_pi_chain_is_bit_identical_to_pi_cascade_oracle(case):
+    cfg, frequencies = case
+    for f in frequencies:
+        got = fused_record_or_error(cfg, f)
+        want = oracle_record_or_error(cfg, f)
+        # == on floats, and repr for the signs of zeros, which == ignores
+        # but the output files print
+        assert got == want
+        assert repr(got) == repr(want)
+        # the chain itself: the solve hides most signed zeros and every
+        # non-finite entry of the two-port, so compare its four entries too
+        freq = Frequency(f)
+        chain = _pi_cascade(
+            cfg.line.series_impedance(freq.omega), cfg.line.shunt_admittance(freq.omega),
+            cfg.length / cfg.pi_sections, *_chain_plan(cfg.pi_sections),
+        )
+        assert repr(chain) == repr(tuple(
+            pi_cascade_oracle(cfg.line, cfg.length, freq, cfg.pi_sections)
+        ))
 
 
 def test_sweep_points_solves_arbitrary_frequencies():
