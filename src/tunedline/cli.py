@@ -14,7 +14,7 @@ from itertools import islice
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, load_sweep_config, resolve_config_arg
+from .config import load_sweep_config, resolve_config_arg
 from .linemodel import Frequency
 from .powerflow import ResonanceError
 from .reporting import (
@@ -197,9 +197,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResonanceError as exc:
         print(f"error: singular operating point: {exc}", file=sys.stderr)
         return 3

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import configparser
 import re
-from importlib import resources
 from pathlib import Path
 
 from .linemodel import LineParameters
@@ -177,7 +176,7 @@ def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
     f_start = sweep_sec.get("f_start", _FREQ)
     f_end = sweep_sec.get("f_end", _FREQ)
     n_points = sweep_sec.get_int("n_points")
-    model, pi_sections = _parse_model(sweep_sec.get_str("model", default="lossless"), origin)
+    model = _parse_model(sweep_sec.get_str("model", default="lossless"), origin)
     sweep_sec.check_no_extras()
 
     try:
@@ -189,8 +188,7 @@ def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
             f_start=f_start,
             f_end=f_end,
             n_points=n_points,
-            model=model,
-            pi_sections=pi_sections,
+            **model,
         )
     except ValueError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
@@ -234,12 +232,13 @@ def _parse_load(sec: _Section, origin: str) -> LoadSpec:
     return load
 
 
-def _parse_model(text: str, origin: str) -> tuple[str, int]:
+def _parse_model(text: str, origin: str) -> dict:
+    """The SweepConfig model field, and pi_sections when the text gives N."""
     if text in MODEL_CHOICES:
-        return text, 100
+        return {"model": text}
     match = _MODEL_RE.match(text)
     if match:
-        return "pi-cascade", int(match.group(1))
+        return {"model": "pi-cascade", "pi_sections": int(match.group(1))}
     raise ConfigError(
         f"{origin}: [sweep] model must be exact, lossless, pi-cascade or pi-cascade(N), "
         f"got {text!r}"
@@ -258,20 +257,19 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
 
 def bundled_config_names() -> list[str]:
     """Names of the configs shipped with the package."""
-    base = resources.files("tunedline").joinpath("configs")
-    return sorted(p.name[:-4] for p in base.iterdir() if p.name.endswith(".ini"))
+    return sorted(p.stem for p in Path(__file__).parent.glob("configs/*.ini"))
 
 
 def bundled_config_path(name: str) -> Path:
     """Filesystem path of a bundled config, by name or filename."""
     filename = name if name.endswith(".ini") else name + ".ini"
-    candidate = resources.files("tunedline").joinpath("configs", filename)
+    candidate = Path(__file__).parent / "configs" / filename
     if not candidate.is_file():
         raise ConfigError(
             f"no bundled config named {name!r} (available: "
             f"{', '.join(bundled_config_names())})"
         )
-    return Path(str(candidate))
+    return candidate
 
 
 def resolve_config_arg(value: str) -> Path:

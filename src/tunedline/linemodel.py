@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 __all__ = [
     "LineParameters",
@@ -69,7 +68,8 @@ class _Validated:
 
 
 class LineParameters(_Validated, namedtuple("LineParameters", "L C r g")):
-    """Per-unit-length line constants: series r + jwL, shunt g + jwC (per km)."""
+    """Per-km line constants L (H), C (F), r (ohm), g (S): series r + jwL,
+    shunt g + jwC.  L*C must be a positive finite float (velocity 1/sqrt(LC))."""
 
     __slots__ = ()
 
@@ -81,6 +81,8 @@ class LineParameters(_Validated, namedtuple("LineParameters", "L C r g")):
             raise ValueError("L and C must be positive")
         if r < 0.0 or g < 0.0:
             raise ValueError("r and g must be non-negative")
+        if not 0.0 < L * C < math.inf:
+            raise ValueError("L*C is out of float range")
         return super().__new__(cls, L, C, r, g)
 
     @property
@@ -117,7 +119,7 @@ def default_line() -> LineParameters:
 
 
 class Frequency(_Validated, namedtuple("Frequency", "f")):
-    """Operating frequency; exposes both cyclic f (Hz) and angular omega."""
+    """Operating frequency: cyclic f (float, Hz) and angular omega (rad/s)."""
 
     __slots__ = ()
 
@@ -131,20 +133,18 @@ class Frequency(_Validated, namedtuple("Frequency", "f")):
         return 2.0 * math.pi * self.f
 
 
-class WaveQuantities(NamedTuple):
-    """Propagation constant gamma (1/km) and characteristic impedance zc (ohm)."""
+class WaveQuantities(namedtuple("WaveQuantities", "gamma zc")):
+    """Propagation constant gamma (complex, 1/km) and characteristic
+    impedance zc (complex, ohm)."""
 
-    gamma: complex
-    zc: complex
+    __slots__ = ()
 
 
-class TwoPort(NamedTuple):
-    """Transmission (ABCD) matrix entries: a, d dimensionless, b ohm, c siemens."""
+class TwoPort(namedtuple("TwoPort", "a b c d")):
+    """Transmission (ABCD) matrix entries, all complex: a, d dimensionless,
+    b in ohm, c in siemens."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ()
 
     @classmethod
     def identity(cls) -> "TwoPort":
@@ -271,4 +271,4 @@ def pi_cascade_oracle(
 
 def _check_length(length: float) -> None:
     if not (math.isfinite(length) and length > 0.0):
-        raise ValueError("length must be positive and finite")
+        raise ValueError("length must be positive")

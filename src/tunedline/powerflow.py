@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .linemodel import Frequency, TwoPort, _Validated
 
@@ -51,7 +50,8 @@ class ResonanceError(ValueError):
 
 
 class LoadSpec(_Validated, namedtuple("LoadSpec", "g_load c_load")):
-    """Shunt load at the receiving end as a parallel G-C pair.
+    """Shunt load at the receiving end as a parallel G-C pair: g_load in S,
+    c_load in F.
 
     The effective admittance at frequency f is
     y(f) = g_load + j*2*pi*f*c_load: conductance is frequency-flat while a
@@ -106,19 +106,18 @@ class LoadSpec(_Validated, namedtuple("LoadSpec", "g_load c_load")):
         return complex(self.g_load, freq.omega * self.c_load)
 
 
-class TerminalState(NamedTuple):
-    """The four terminal phasors of a solved line (V and A, RMS per phase)."""
+class TerminalState(namedtuple("TerminalState", "vs is_ vr ir")):
+    """The four terminal phasors of a solved line, complex RMS per phase:
+    voltages vs, vr in V and currents is_, ir in A."""
 
-    vs: complex
-    is_: complex
-    vr: complex
-    ir: complex
+    __slots__ = ()
 
 
 class PowerTransferInputs(
     _Validated, namedtuple("PowerTransferInputs", "vs_mag vr_mag delta x")
 ):
-    """Inputs to the simplified reactance transfer model."""
+    """Inputs to the simplified reactance transfer model: voltage magnitudes
+    vs_mag and vr_mag in V, torque angle delta in rad, line reactance x in ohm."""
 
     __slots__ = ()
 
@@ -130,13 +129,11 @@ class PowerTransferInputs(
         return super().__new__(cls, vs_mag, vr_mag, delta, x)
 
 
-class PowerResult(NamedTuple):
-    """Receiving-end P and Q, voltage regulation, and line-absorbed Q."""
+class PowerResult(namedtuple("PowerResult", "p_r q_r delta_v q_line")):
+    """Receiving-end P (p_r, W) and Q (q_r, VAr), voltage regulation delta_v
+    (a ratio) and line-absorbed Q (q_line, VAr): per-phase floats."""
 
-    p_r: float
-    q_r: float
-    delta_v: float
-    q_line: float
+    __slots__ = ()
 
 
 # Relative threshold below which |a + b*y| is treated as resonant.

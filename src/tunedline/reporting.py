@@ -40,9 +40,10 @@ import json
 import math
 import os
 import time
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
+from io import TextIOBase
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
 
 from . import __version__
 from .sweep import SweepConfig, SweepRecord, TuningDip
@@ -129,9 +130,8 @@ class RecordWriter:
     writes these files' heads, separators and tails.
     """
 
-    def __init__(
-        self, csv: TextIO, records_json: TextIO | None = None, plots: Sequence[TextIO] = ()
-    ) -> None:
+    def __init__(self, csv: TextIOBase, records_json: TextIOBase | None = None,
+                 plots: Sequence[TextIOBase] = ()) -> None:
         self._csv, self._json, self._plots = csv, records_json, plots
         self._json_separator = "[\n"  # before the first element; ",\n" after it
         csv.write(f"{CSV_HEADER}\n")
@@ -189,7 +189,7 @@ def read_sweep_csv(path: str | Path) -> list[tuple]:
 
 
 @contextmanager
-def open_atomic(path: str | Path) -> Iterator[TextIO]:
+def open_atomic(path: str | Path) -> Iterator[TextIOBase]:
     """Yield a text handle on path's .partial sibling; rename it to path on success.
 
     When the block (or closing the file, or the rename) raises, the

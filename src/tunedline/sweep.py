@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
-from typing import Iterable, Iterator, NamedTuple
+from collections.abc import Iterable, Iterator
 
-from .linemodel import Frequency, LineParameters, _Validated
+from .linemodel import Frequency, LineParameters, _Validated, _check_length
 from .powerflow import _SINGULARITY_REL, LoadSpec
 from .tuning import is_tuned
 
@@ -61,10 +62,11 @@ _SWEEP_FIELDS = "line length source_voltage load f_start f_end n_points model pi
 class SweepConfig(_Validated, namedtuple("SweepConfig", _SWEEP_FIELDS)):
     """Full experiment definition: line, load, source and frequency grid.
 
-    source_voltage is line-to-line RMS volts; the solver works per phase
-    with vs = source_voltage/sqrt(3) at angle zero.  model selects the
-    line representation: "exact", "lossless", or "pi-cascade" with
-    pi_sections lumped segments.  The grid step must exceed
+    length is in km, source_voltage line-to-line RMS volts and f_start,
+    f_end Hz (floats), over n_points (int) grid points; the solver works
+    per phase with vs = source_voltage/sqrt(3) at angle zero.  model (str)
+    selects the line representation: "exact", "lossless", or "pi-cascade"
+    with pi_sections (int) lumped segments.  The grid step must exceed
     2*ulp(f_end), which keeps the computed grid strictly increasing.
     """
 
@@ -82,8 +84,7 @@ class SweepConfig(_Validated, namedtuple("SweepConfig", _SWEEP_FIELDS)):
         model: str = "lossless",
         pi_sections: int = 100,
     ) -> "SweepConfig":
-        if not (math.isfinite(length) and length > 0.0):
-            raise ValueError("length must be positive")
+        _check_length(length)
         if not (math.isfinite(source_voltage) and source_voltage > 0.0):
             raise ValueError("source_voltage must be positive and finite")
         if not (math.isfinite(f_start) and math.isfinite(f_end)):
@@ -92,6 +93,9 @@ class SweepConfig(_Validated, namedtuple("SweepConfig", _SWEEP_FIELDS)):
             raise ValueError("need 0 < f_start < f_end")
         if n_points < 2:
             raise ValueError("n_points must be at least 2")
+        for name, count in (("n_points", n_points), ("pi_sections", pi_sections)):
+            if count > sys.float_info.max:  # float(count) raises OverflowError
+                raise ValueError(f"{name} is out of float range")
         if (f_end - f_start) / (n_points - 1) <= 2.0 * math.ulp(f_end):
             raise ValueError(
                 "frequency step (f_end - f_start)/(n_points - 1) must exceed 2*ulp(f_end)"
@@ -115,8 +119,10 @@ class SweepConfig(_Validated, namedtuple("SweepConfig", _SWEEP_FIELDS)):
         yield self.f_end
 
 
-class SweepRecord(NamedTuple):
-    """One frequency point: per-phase W/VAr and line-to-neutral volts.
+class SweepRecord(namedtuple("SweepRecord", "f p_r q_r q_line vs_mag vr_mag delta_v singular")):
+    """One frequency point, per phase: f (Hz), p_r (W), q_r and q_line
+    (VAr), vs_mag and vr_mag (line-to-neutral V) and delta_v, all float,
+    and the bool singular.
 
     The only record type of a sweep; `reporting.three_phase_row` turns it
     into the three-phase MW/MVAr and line-to-line kV every output carries.
@@ -124,22 +130,14 @@ class SweepRecord(NamedTuple):
     for everything the solve would have produced.
     """
 
-    f: float
-    p_r: float | None
-    q_r: float | None
-    q_line: float | None
-    vs_mag: float
-    vr_mag: float | None
-    delta_v: float | None
-    singular: bool
+    __slots__ = ()
 
 
-class TuningDip(NamedTuple):
-    """A detected local minimum of |q_line|, matched to harmonic n (0 if none)."""
+class TuningDip(namedtuple("TuningDip", "f_detected n_matched q_line_at_dip")):
+    """A local minimum of |q_line| at f_detected (float, Hz), matched to harmonic
+    n_matched (int, 0 if none); q_line_at_dip is its per-phase q_line (float, VAr)."""
 
-    f_detected: float
-    n_matched: int
-    q_line_at_dip: float
+    __slots__ = ()
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
@@ -164,9 +162,10 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
 
     Raises ValueError naming the frequency when a point's solution leaves
     the float range: an overflow or an infinite phase angle while building
-    the two-port, |vr| = 0, or a non-finite p_r, q_line or delta_v (one
-    isfinite test of their sum, which is also non-finite whenever q_r or
-    vr_mag is).
+    the two-port, |vr| = 0, or a cell of `reporting.three_phase_row`'s row
+    that is not finite: one isfinite test of the sum of p_r, q_r, q_line
+    times 3, vr_mag times sqrt(3) and delta_v, which also rejects a row
+    whose finite cells sum past the float range.
     """
     line, length, model = cfg.line, cfg.length, cfg.model
     r, L, g, C = line.r, line.L, line.g, line.C
@@ -217,7 +216,7 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
             q_line = (vs * is_.conjugate()).imag - q_r
             vr_mag = abs(vr)
             delta_v = (vs_mag - vr_mag) / vr_mag  # ZeroDivisionError on |vr| = 0
-            if not math.isfinite(p_r + q_line + delta_v):
+            if not math.isfinite(p_r * 3.0 + q_r * 3.0 + q_line * 3.0 + vr_mag * _SQRT3 + delta_v):
                 raise OverflowError
             yield SweepRecord(f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, False)
     except (ArithmeticError, ValueError):  # math.cos(inf) raises ValueError

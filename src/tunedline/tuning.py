@@ -15,9 +15,9 @@ arbitrary (length, frequency) pair sits to the nearest harmonic.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
-from .linemodel import Frequency
+from .linemodel import Frequency, _check_length
 
 __all__ = [
     "DEFAULT_VELOCITY_KM_S",
@@ -31,11 +31,11 @@ __all__ = [
 DEFAULT_VELOCITY_KM_S = 3.0e5
 
 
-class TuningSolution(NamedTuple):
-    """Harmonic index n with its tuned frequency (Hz) or tuned length (km)."""
+class TuningSolution(namedtuple("TuningSolution", "n value")):
+    """Harmonic index n (int) with its tuned frequency (float, Hz) or tuned
+    length (float, km)."""
 
-    n: int
-    value: float
+    __slots__ = ()
 
 
 def _check_velocity(velocity: float) -> None:
@@ -43,10 +43,24 @@ def _check_velocity(velocity: float) -> None:
         raise ValueError("velocity must be positive and finite")
 
 
-def _check_finite(solutions: list[TuningSolution], what: str) -> None:
+def _harmonic(n: int, velocity: float, x: float) -> TuningSolution:
+    # n*v/(2x): a tuned length (km) for a frequency x, a tuning frequency (Hz) for a length x
+    return TuningSolution(n, n * velocity / (2.0 * x))
+
+
+def _harmonics(x: float, velocity: float, n_max: int, what: str) -> list[TuningSolution]:
+    """_harmonic for n = 1..n_max, after checking velocity and n_max.
+
+    Raises ValueError, naming `what`, when a value leaves the float range.
+    """
+    _check_velocity(velocity)
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    solutions = [_harmonic(n, velocity, x) for n in range(1, n_max + 1)]
     # n*v/(2x) grows with n, so the last solution is the largest
     if not math.isfinite(solutions[-1].value):
         raise ValueError(f"{what} is out of float range")
+    return solutions
 
 
 def tuned_lengths(
@@ -56,12 +70,7 @@ def tuned_lengths(
 
     Raises ValueError when a length leaves the float range.
     """
-    _check_velocity(velocity)
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    solutions = [TuningSolution(n, n * velocity / (2.0 * freq.f)) for n in range(1, n_max + 1)]
-    _check_finite(solutions, f"tuned length at frequency {freq.f!r} Hz")
-    return solutions
+    return _harmonics(freq.f, velocity, n_max, f"tuned length at frequency {freq.f!r} Hz")
 
 
 def tuning_frequencies(
@@ -71,14 +80,8 @@ def tuning_frequencies(
 
     Raises ValueError when a frequency leaves the float range.
     """
-    _check_velocity(velocity)
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError("length must be positive")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    solutions = [TuningSolution(n, n * velocity / (2.0 * length)) for n in range(1, n_max + 1)]
-    _check_finite(solutions, f"tuning frequency for length {length!r} km")
-    return solutions
+    _check_length(length)
+    return _harmonics(length, velocity, n_max, f"tuning frequency for length {length!r} km")
 
 
 def is_tuned(
@@ -94,13 +97,11 @@ def is_tuned(
     clamped to 1, since n = 0 is no line at all).
     """
     _check_velocity(velocity)
-    if not (math.isfinite(length) and length > 0.0):
-        raise ValueError("length must be positive")
+    _check_length(length)
     if not (0.0 < rel_tol < 0.5):
         raise ValueError("rel_tol must lie in (0, 0.5)")
     x = 2.0 * freq.f * length / velocity
     nearest_int = round(x)
     tuned = nearest_int >= 1 and abs(x - nearest_int) <= rel_tol
     n = max(1, nearest_int)
-    nearest = TuningSolution(n, n * velocity / (2.0 * length))
-    return tuned, nearest
+    return tuned, _harmonic(n, velocity, length)

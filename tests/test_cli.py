@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     plot_data_per_cell,
@@ -94,7 +100,21 @@ OVERFLOW_CASES = [
         .replace("model = lossless", "model = pi-cascade(2)"),
         50.0, id="section-length-underflow",
     ),
+    # the tuned row's per-phase cells are finite (p_r = 7.5e307 W), and
+    # three_phase_row's p_r*3 would overflow to an inf cell
+    pytest.param(
+        STOPBAND_CONFIG.replace("L = 5 mH/km", "L = 1.0 mH/km")
+        .replace("C = 50 nF/km", "C = 1.1111111111111112e-08 F/km")
+        .replace("length = 2000 km", "length = 500 km")
+        .replace("g_load = 1 mS", "g_load = 1 S")
+        .replace("voltage = 220 kV", "voltage = 1.5e154 V")
+        .format(r=0, f_start=299, f_end=301, model="lossless"),
+        300.0, id="three-phase-overflow",
+    ),
 ]
+
+# 1 followed by 400 zeros: an int that float() cannot hold
+HUGE_INT = 10**400
 
 
 class TestTuningCommand:
@@ -264,6 +284,14 @@ class TestSweepCommand:
         expected_rows = [three_phase_row(r) for r in run_sweep(cfg)]
         assert read_sweep_csv(out / "records.csv") == expected_rows
 
+    @pytest.mark.parametrize("name", ["experiment_500km", "experiment_300km"])
+    def test_bundled_records_csv_match_golden_hashes(self, capsys, tmp_path, name):
+        golden_file = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+        golden = json.loads(golden_file.read_text())[name]["records_csv_sha256"]
+        out = tmp_path / name
+        assert main(["sweep", "--config", name, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "records.csv").read_bytes()).hexdigest() == golden
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -338,6 +366,12 @@ class TestSweepCommand:
             ("voltage = 220 kV", "voltage = inf kV"),
             ("rated_p = 100 MW", "rated_p = nan MW"),
             ("f_end = 1000 Hz", "f_end = inf Hz"),
+            # ints beyond the float range, and an L*C that underflows to 0
+            pytest.param("n_points = 951", f"n_points = {HUGE_INT}", id="n_points-huge"),
+            pytest.param("model = lossless", f"model = pi-cascade({HUGE_INT})",
+                         id="pi_sections-huge"),
+            pytest.param("L = 1.0 mH/km\ng = 0 S/km\nC = 1.1111111111111112e-08 F/km",
+                         "L = 1e-200 H/km\ng = 0 S/km\nC = 1e-200 F/km", id="LC-underflow"),
         ],
     )
     def test_non_finite_input_exits_2_without_output(self, capsys, tmp_path, old, new):
@@ -346,9 +380,13 @@ class TestSweepCommand:
         cfg_file = tmp_path / "bad.ini"
         cfg_file.write_text(text.replace(old, new))
         out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
-        assert "error" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        for argv in (["sweep", "--out", str(out)], ["solve", "--frequency", "300"]):
+            assert main([*argv, "--config", str(cfg_file)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {cfg_file}: ")
+            assert captured.err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, frequency", OVERFLOW_CASES)
     def test_overflow_exits_2_without_output(self, capsys, tmp_path, text, frequency):
@@ -549,6 +587,77 @@ class TestSweepStreaming:
         peak_bytes(600)  # warm-up over three chunks: lazy imports and first-use caches
         small, large = peak_bytes(4_000), peak_bytes(40_000)
         assert large <= 1.5 * small, (small, large)
+
+
+# decades by which extreme_config_texts scales each value: mostly a few,
+# often hundreds, so that products and quotients leave the float range
+decades = st.integers(min_value=-3, max_value=3) | st.integers(min_value=-330, max_value=330)
+huge_ints = st.integers(min_value=1, max_value=400).map(lambda k: 10**k)
+
+
+@st.composite
+def scaled(draw, base: float) -> str:
+    """base (a realistic value in base units) times 10**k, as config text."""
+    mantissa, exponent = f"{base:e}".split("e")
+    return f"{mantissa}e{int(exponent) + draw(decades)}"
+
+
+@st.composite
+def extreme_config_texts(draw) -> str:
+    """Config text the parser accepts, each number a bundled value scaled by 10**k.
+
+    A value that leaves the float range in the text itself (1e-400 reads
+    as 0, 1e400 as inf) is left in: the parser accepts it, validation
+    then decides.
+    """
+    model = draw(st.sampled_from(["lossless", "exact", "pi-cascade"])
+                 | (st.integers(min_value=1, max_value=1000) | huge_ints).map(
+                     lambda n: f"pi-cascade({n})"))
+    lossy = model != "lossless" and draw(st.booleans())
+    r, g = (draw(scaled(0.03)), draw(scaled(5e-9))) if lossy else ("0", "0")
+    kind = draw(st.sampled_from(["admittance", "fixed-capacitance-rated", "impedance"]))
+    c_load = draw(st.just("0") | scaled(6e-6))
+    if kind == "admittance":
+        load = f"g_load = {draw(st.just('0') | scaled(2e-3))}\nc_load = {c_load}"
+    elif kind == "impedance":
+        load = f"resistance = {draw(scaled(484.0))}\nc_load = {c_load}"
+    else:
+        load = (f"rated_q = {draw(scaled(1e8))}\nrated_v = {draw(scaled(220e3))}\n"
+                f"rated_f = {draw(scaled(50.0))}\n"
+                + draw(st.just("") | scaled(1e8).map(lambda p: f"rated_p = {p}\n")))
+    f_start, f_end = sorted([float(draw(scaled(50.0))), float(draw(scaled(1000.0)))])
+    n_points = draw(st.integers(min_value=2, max_value=10) | huge_ints)
+    return (
+        f"[line]\nr = {r}\nL = {draw(scaled(1e-3))}\ng = {g}\nC = {draw(scaled(1e-8))}\n"
+        f"length = {draw(scaled(500.0))}\n\n[load]\nkind = {kind}\n{load}\n\n"
+        f"[source]\nvoltage = {draw(scaled(220e3))}\n\n"
+        f"[sweep]\nf_start = {f_start!r}\nf_end = {f_end!r}\nn_points = {n_points}\n"
+        f"model = {model}\n"
+    )
+
+
+@given(text=extreme_config_texts(), frequency=scaled(300.0))
+@settings(max_examples=300, deadline=None)
+def test_property_solve_extreme_configs_exit_0_with_finite_cells_or_one_error_line(
+    tmp_path_factory, text, frequency
+):
+    cfg_file = tmp_path_factory.mktemp("extreme") / "extreme.ini"
+    cfg_file.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["solve", "--config", str(cfg_file), "--frequency", frequency,
+                     "--format", "json"])
+    if code == 0:
+        row = json.loads(out.getvalue())
+        assert row["singular"] is False
+        assert all(math.isfinite(row[key]) for key in CSV_FIELDS[:7]), row
+        assert err.getvalue() == ""
+    else:
+        # 2: rejected config, frequency or float range; 3: a singular point
+        assert code in (2, 3)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_module_entry_point():

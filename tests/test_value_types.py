@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tunedline
 from tunedline import (
     Frequency,
     LineParameters,
@@ -104,3 +107,15 @@ def test_cli_import_loads_no_dataclass_machinery():
     loaded = set(proc.stdout.split())
     assert "tunedline.cli" in loaded
     assert not loaded & {"dataclasses", "datetime", "inspect", "ast", "dis"}
+
+
+def test_cli_import_loads_no_typing_or_importlib_resources():
+    # -S keeps site start-up, which may import both itself, out of the probe
+    src = Path(tunedline.__file__).resolve().parents[1]
+    probe = (
+        "import sys, tunedline.cli\n"
+        "print(' '.join(sorted({'typing', 'importlib.resources'} & set(sys.modules))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.split() == []
