@@ -1,8 +1,9 @@
 """Steady-state phasor simulation of long HVAC lines and tuned-frequency analysis.
 
-A sweep yields one record type, `SweepRecord` (per-phase SI units);
-`three_phase_row` is the one conversion to the three-phase MW/MVAr and
-line-to-line kV that every CLI output reports.
+A sweep yields one record type, `SweepRecord`, whose fields are the
+records.csv columns: three-phase MW/MVAr and line-to-line kV, converted
+from the per-phase solution once, in the sweep loop.  The scalar
+functions of `linemodel` and `powerflow` work per phase in SI units.
 """
 
 # before the submodule imports: reporting reads it at import time
@@ -35,7 +36,6 @@ from .powerflow import (
     solve_receiving_end,
     voltage_regulation,
 )
-from .reporting import three_phase_row
 from .sweep import (
     MODEL_CHOICES,
     SweepConfig,
@@ -87,7 +87,6 @@ __all__ = [
     "detect_tuning_dips",
     "run_sweep",
     "sweep_points",
-    "three_phase_row",
     "DEFAULT_VELOCITY_KM_S",
     "TuningSolution",
     "is_tuned",

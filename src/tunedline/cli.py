@@ -18,19 +18,17 @@ from .config import load_sweep_config, resolve_config_arg
 from .linemodel import Frequency
 from .powerflow import ResonanceError
 from .reporting import (
-    CSV_FIELDS,
     PLOT_QUANTITIES,
     RecordWriter,
     build_manifest,
     dips_report_json,
     open_atomic,
-    three_phase_row,
     write_text_atomic,
 )
 from .sweep import TuningDipWindow, sweep_points
 from .tuning import DEFAULT_VELOCITY_KM_S, tuned_lengths, tuning_frequencies
 
-# Grid points `sweep` solves, converts and appends to its files per step:
+# Grid points `sweep` solves and appends to its files per step:
 # large enough that the per-chunk cost vanishes, small enough that peak
 # memory does not grow with n_points.
 CHUNK_POINTS = 4096
@@ -124,12 +122,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     (record,) = sweep_points(cfg, [frequency])
     if record.singular:
         raise ResonanceError(f"line-load resonance at f = {frequency} Hz")
-    row = three_phase_row(record)
-    report = json.dumps(dict(zip(CSV_FIELDS, row)), indent=2)
+    report = json.dumps(record._asdict(), indent=2)
     if args.format == "json":
         print(report)
     else:
-        f_hz, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = row
+        f_hz, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = record
         print(f"f        = {f_hz:g} Hz")
         print(f"model    = {cfg.model}, length = {cfg.length:g} km")
         print(f"P_r      = {p_r_mw:.6g} MW (three-phase)")
@@ -169,7 +166,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         while chunk := list(islice(records, CHUNK_POINTS)):
             window.extend(chunk)
-            writer.write(list(map(three_phase_row, chunk)))
+            writer.write(chunk)
             n_records += len(chunk)
         writer.close()
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import configparser
 import re
+import sys
 from pathlib import Path
 
 from .linemodel import LineParameters
@@ -70,16 +71,46 @@ _RESISTANCE = {"ohm": 1.0, "kohm": 1e3}
 
 _MODEL_RE = re.compile(r"^pi-cascade\((\d+)\)$")
 
+# characters of a config value an error message echoes
+_QUOTE_CHARS = 20
+
+
+def _quoted(text: str) -> str:
+    """repr(text) for an error message; a longer text is cut to its first
+    _QUOTE_CHARS characters and its length is stated."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
+def _parse_int(text: str, where: str) -> int:
+    """int(text), or a ConfigError naming where; text is not echoed whole."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        # text is an integer that int() refuses only for its length when it
+        # reads with every run of digits cut to one digit
+        int(re.sub(r"\d+", "1", text))
+    except ValueError:
+        raise ConfigError(f"{where}: {_quoted(text)} is not an integer") from None
+    digits = sum(map(str.isdecimal, text))
+    raise ConfigError(
+        f"{where}: an integer of {digits} digits, more than the "
+        f"{sys.get_int_max_str_digits()} accepted"
+    )
+
 
 def parse_quantity(text: str, units: dict[str, float], *, where: str) -> float:
     """Parse '<number>[ <unit>]' normalizing the unit suffix to base units."""
     parts = text.split()
     if not parts or len(parts) > 2:
-        raise ConfigError(f"{where}: expected '<number> [unit]', got {text!r}")
+        raise ConfigError(f"{where}: expected '<number> [unit]', got {_quoted(text)}")
     try:
         value = float(parts[0])
     except ValueError:
-        raise ConfigError(f"{where}: {parts[0]!r} is not a number") from None
+        raise ConfigError(f"{where}: {_quoted(parts[0])} is not a number") from None
     if len(parts) == 1:
         return value
     try:
@@ -87,7 +118,7 @@ def parse_quantity(text: str, units: dict[str, float], *, where: str) -> float:
     except KeyError:
         allowed = ", ".join(sorted(units))
         raise ConfigError(
-            f"{where}: unknown unit {parts[1]!r} (allowed: {allowed})"
+            f"{where}: unknown unit {_quoted(parts[1])} (allowed: {allowed})"
         ) from None
 
 
@@ -116,11 +147,7 @@ class _Section:
         return parse_quantity(text, units, where=self._where(key))
 
     def get_int(self, key: str) -> int:
-        text = self.get_str(key)
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"{self._where(key)}: {text!r} is not an integer") from None
+        return _parse_int(self.get_str(key), self._where(key))
 
     def has(self, key: str) -> bool:
         return key in self.raw
@@ -238,10 +265,11 @@ def _parse_model(text: str, origin: str) -> dict:
         return {"model": text}
     match = _MODEL_RE.match(text)
     if match:
-        return {"model": "pi-cascade", "pi_sections": int(match.group(1))}
+        n = _parse_int(match.group(1), f"{origin}: [sweep] model pi-cascade(N)")
+        return {"model": "pi-cascade", "pi_sections": n}
     raise ConfigError(
         f"{origin}: [sweep] model must be exact, lossless, pi-cascade or pi-cascade(N), "
-        f"got {text!r}"
+        f"got {_quoted(text)}"
     )
 
 

@@ -1,12 +1,12 @@
 """Result serialization: sweep CSV, records JSON, plot data, dips report, manifest.
 
-The library works per phase; every output reports three-phase totals in
-MW/MVAr and line-to-line kV.  `three_phase_row` is the one place that
-conversion happens (x*3/1e6 for powers, v*sqrt(3)/1e3 for voltages):
-records.csv, records.json, the plot files, dips.json and the `solve`
-report are all built from its rows.
+Every output reports the sweep's records as they come: three-phase
+totals in MW/MVAr and line-to-line kV, converted once in the sweep loop
+(see `sweep`).  records.csv, records.json, the plot files, dips.json and
+the `solve` report all carry those values unchanged.
 
-The CSV schema is fixed and byte-deterministic for a given config:
+The CSV schema is fixed and byte-deterministic for a given config; its
+columns are the `SweepRecord` fields:
 
     f_hz,p_r_mw,q_r_mvar,q_line_mvar,vs_kv,vr_kv,delta_v,singular
 
@@ -21,9 +21,11 @@ are `f_hz value` pairs that reuse the CSV's 17-digit cells verbatim, one
 line per non-singular row.
 
 `RecordWriter` is the one renderer of records.csv, records.json and the
-plot files.  It streams them into open files a chunk of rows at a time
-and gives the same bytes however the rows are chunked, so the `sweep`
-command never holds more than one chunk.
+plot files.  It streams them into open files a chunk of records at a
+time and gives the same bytes however the records are chunked, so the
+`sweep` command never holds more than one chunk.  All records of a sweep
+share one vs_kv float object, and the writer formats that cell once per
+run of records holding the same object.
 
 Every file is written through one atomic writer, `open_atomic`: a
 context manager that yields the handle of a `<name>.partial` sibling,
@@ -43,6 +45,8 @@ import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from io import TextIOBase
+from itertools import compress
+from operator import is_not, itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -52,7 +56,6 @@ __all__ = [
     "CSV_HEADER",
     "CSV_FIELDS",
     "PLOT_QUANTITIES",
-    "three_phase_row",
     "RecordWriter",
     "read_sweep_csv",
     "open_atomic",
@@ -62,72 +65,77 @@ __all__ = [
     "build_manifest",
 ]
 
-CSV_HEADER = "f_hz,p_r_mw,q_r_mvar,q_line_mvar,vs_kv,vr_kv,delta_v,singular"
-CSV_FIELDS = tuple(CSV_HEADER.split(","))
+CSV_FIELDS = SweepRecord._fields
+CSV_HEADER = ",".join(CSV_FIELDS)
 PLOT_QUANTITIES = CSV_FIELDS[1:4]
 
-_SQRT3 = 3.0**0.5
-
-_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,false\n"
-_SINGULAR_ROW = "%.17g,,,,%.17g,,,true\n"
+# Row templates filled in two steps.  `_ROW % (vs_kv,)` formats the vs_kv
+# cell and turns every escaped %% into %, which leaves the template of
+# each row of a run that shares that vs_kv; the rows fill the rest.
+_ROW = "%%.17g,%%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g,false\n"
+_SINGULAR_ROW = "%%.17g,,,,%.17g,,,true\n"
 
 # records.json array elements, laid out as json.dumps(..., indent=2) lays
 # them out; %r is float.__repr__, the call the JSON encoder makes.
 _JSON_ROW, _JSON_SINGULAR_ROW = (
     "  {\n" + ",\n".join(f'    "{key}": {cell}' for key, cell in zip(CSV_FIELDS, cells)) + "\n  }"
     for cells in (
-        ["%r"] * 7 + ["false"],
-        ["%r", "null", "null", "null", "%r", "null", "null", "true"],
+        ["%%r"] * 4 + ["%r", "%%r", "%%r", "false"],
+        ["%%r", "null", "null", "null", "%r", "null", "null", "true"],
     )
 )
 
 
-def three_phase_row(rec: SweepRecord) -> tuple:
-    """A per-phase record as a row in CSV column order (see CSV_FIELDS).
+def _vs_runs(records: Sequence[tuple]) -> list[tuple[float, Sequence[tuple]]]:
+    """records split into maximal runs that hold one vs_kv float object,
+    as (vs_kv, run) pairs.
 
-    Powers become three-phase MW/MVAr and voltages line-to-line kV; f_hz,
-    delta_v and the singular flag pass through, and the cells a singular
-    record leaves as None stay None.
+    Identity, not ==, splits them: 0.0 == -0.0 but the two print
+    differently, and nan equals nothing.  Every record of one sweep holds
+    the loop's single vs_kv, so a chunk of a sweep is one run.
     """
-    f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, singular = rec
-    if singular:
-        return (f, None, None, None, vs_mag * _SQRT3 / 1e3, None, None, True)
-    return (
-        f,
-        p_r * 3.0 / 1e6,
-        q_r * 3.0 / 1e6,
-        q_line * 3.0 / 1e6,
-        vs_mag * _SQRT3 / 1e3,
-        vr_mag * _SQRT3 / 1e3,
-        delta_v,
-        False,
-    )
+    cells = list(map(itemgetter(4), records))
+    starts = [0, *compress(range(1, len(cells)), map(is_not, cells[1:], cells)), len(cells)]
+    return [(cells[a], records[a:b]) for a, b in zip(starts, starts[1:])]
 
 
-def _json_element(row: tuple) -> str:
-    """The records.json array element of one three_phase_row row.
+def _json_elements(vs_kv: float, run: Sequence[tuple]) -> list[str]:
+    """The records.json array elements of a run of records sharing vs_kv.
 
-    One template substitution instead of a pass through the pure-Python
-    encoder that indent=2 selects.
+    One template substitution per record instead of a pass through the
+    pure-Python encoder that indent=2 selects.  A record with a nan or
+    infinite cell goes through the encoder: %r would write nan/inf where
+    JSON has NaN/Infinity ([2:-2] drops the "[\n" and "\n]" of its
+    one-element array).
     """
-    values = (row[0], row[4]) if row[7] else row[:7]
-    if not math.isfinite(sum(values)):
-        # %r would write nan/inf where JSON has NaN/Infinity, so the encoder
-        # renders this row ([2:-2] drops its "[\n" and "\n]").  The sum is
-        # finite only if every cell is; math.fsum would raise on inf + -inf.
-        return json.dumps([dict(zip(CSV_FIELDS, row))], indent=2)[2:-2]
-    return (_JSON_SINGULAR_ROW if row[7] else _JSON_ROW) % values
+    row, singular_row = _JSON_ROW % (vs_kv,), _JSON_SINGULAR_ROW % (vs_kv,)
+    vs_finite = math.isfinite(vs_kv)
+    elements = []
+    for record in run:
+        f, p_r, q_r, q_line, _, vr_kv, delta_v, singular = record
+        template, cells = (
+            (singular_row, (f,)) if singular else (row, (f, p_r, q_r, q_line, vr_kv, delta_v))
+        )
+        # the sum is finite only if every cell is (math.fsum would raise
+        # on inf + -inf); a finite row whose sum overflows takes the
+        # encoder's path, which writes the same bytes
+        if vs_finite and math.isfinite(sum(cells)):
+            elements.append(template % cells)
+        else:
+            elements.append(json.dumps([dict(zip(CSV_FIELDS, record))], indent=2)[2:-2])
+    return elements
 
 
 class RecordWriter:
-    """Appends a sweep's rows, a chunk at a time, to its open record files.
+    """Appends a sweep's records, a chunk at a time, to its open record files.
 
     csv takes records.csv, records_json records.json (or None) and plots
     one plot file per PLOT_QUANTITIES entry, in that order (or none).
     The heads are written on construction, each `write` appends one chunk
-    of three_phase_row rows, and `close` ends records.json.  The bytes do
-    not depend on how the rows were chunked.  This is the only code that
-    writes these files' heads, separators and tails.
+    of records (8-tuples in CSV_FIELDS order, such as SweepRecords), and
+    `close` ends records.json.  The bytes do not depend on how the
+    records were chunked.  This is the only code that writes these
+    files' heads, separators and tails.
     """
 
     def __init__(self, csv: TextIOBase, records_json: TextIOBase | None = None,
@@ -138,16 +146,27 @@ class RecordWriter:
         for fh, quantity in zip(plots, PLOT_QUANTITIES):
             fh.write(f"# f_hz {quantity}\n")
 
-    def write(self, rows: list[tuple]) -> None:
-        """Append one chunk of three_phase_row rows to every open file."""
-        if not rows:
+    def write(self, records: Sequence[tuple]) -> None:
+        """Append one chunk of records to every open file.
+
+        The vs_kv cell is formatted once for each run of records that hold
+        the same float object (see `_vs_runs`).
+        """
+        if not records:
             return
-        csv_lines = "".join(
-            [_SINGULAR_ROW % (row[0], row[4]) if row[7] else _ROW % row[:7] for row in rows]
-        )
+        lines, elements = [], []
+        for vs_kv, run in _vs_runs(records):
+            row, singular_row = _ROW % (vs_kv,), _SINGULAR_ROW % (vs_kv,)
+            lines += [
+                singular_row % (f,) if singular else row % (f, p_r, q_r, q_line, vr_kv, delta_v)
+                for f, p_r, q_r, q_line, _, vr_kv, delta_v, singular in run
+            ]
+            if self._json is not None:
+                elements += _json_elements(vs_kv, run)
+        csv_lines = "".join(lines)
         self._csv.write(csv_lines)
         if self._json is not None:
-            self._json.write(self._json_separator + ",\n".join(map(_json_element, rows)))
+            self._json.write(self._json_separator + ",\n".join(elements))
             self._json_separator = ",\n"
         if self._plots:
             # "f_hz value" lines from the CSV's %.17g cells, so no float is
@@ -164,8 +183,8 @@ class RecordWriter:
             self._json.write("[]\n" if self._json_separator == "[\n" else "\n]\n")
 
 
-def read_sweep_csv(path: str | Path) -> list[tuple]:
-    """Parse an emitted CSV back into three_phase_row rows (floats round-trip exactly)."""
+def read_sweep_csv(path: str | Path) -> list[SweepRecord]:
+    """Parse an emitted CSV back into records (floats round-trip exactly)."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -173,11 +192,11 @@ def read_sweep_csv(path: str | Path) -> list[tuple]:
 
     flags = {"true": True, "false": False}
 
-    def parse(line: str) -> tuple:
+    def parse(line: str) -> SweepRecord:
         cells = line.split(",")
         if len(cells) != 8 or cells[7] not in flags:
             raise ValueError(line)
-        return tuple(None if c == "" else float(c) for c in cells[:7]) + (flags[cells[7]],)
+        return SweepRecord(*[None if c == "" else float(c) for c in cells[:7]], flags[cells[7]])
 
     rows = []
     for line in lines[1:]:
@@ -215,19 +234,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def dips_report_json(dips: list[TuningDip]) -> str:
-    """Dips as a JSON array; q_line_at_dip in three-phase MVAr."""
-    payload = [
-        {
-            "f_detected": d.f_detected,
-            "n_matched": d.n_matched,
-            # a one-field record, so the dip goes through the same conversion
-            "q_line_at_dip": three_phase_row(
-                SweepRecord(d.f_detected, 0.0, 0.0, d.q_line_at_dip, 0.0, 0.0, 0.0, False)
-            )[3],
-        }
-        for d in dips
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    """Dips as a JSON array of objects keyed by the TuningDip fields."""
+    return json.dumps([d._asdict() for d in dips], indent=2) + "\n"
 
 
 def config_digest(cfg: SweepConfig) -> str:

@@ -4,19 +4,23 @@ Reproduces the tuned-line experiment: an ideal source at a fixed
 line-to-line voltage drives the line into a shunt load while the supply
 frequency is swept over a uniform grid.  Each grid point is solved
 independently with the selected line model; resonant points are flagged
-in-band rather than aborting the sweep.  Records are per-phase quantities
-in SI units, emitted in ascending frequency order.  The grid and the
-records are generated lazily, one point at a time, so a consumer that
-streams them (the `sweep` command) holds no more than it keeps itself;
-dip detection is a three-record sliding window over the same stream.
+in-band rather than aborting the sweep.  Records are emitted in ascending
+frequency order, in the units every output reports: three-phase MW/MVAr
+and line-to-line kV.  The grid and the records are generated lazily, one
+point at a time, so a consumer that streams them (the `sweep` command)
+holds no more than it keeps itself; dip detection is a three-record
+sliding window over the same stream.
 
 The per-point loop fuses the two-port build, the terminal solve and the
-power accounting into plain local arithmetic.  Every expression keeps the
-operation order of the scalar functions in `linemodel` and `powerflow`
-(`abcd_lossless`, `abcd_exact`, `pi_cascade_oracle`,
-`solve_receiving_end`, `complex_power_accounting`), so its records are
-bit-identical to theirs; those functions stay as the independent oracle
-the tests check it against, and the loop calls none of them.
+power accounting into plain local arithmetic, per phase.  Every
+expression keeps the operation order of the scalar functions in
+`linemodel` and `powerflow` (`abcd_lossless`, `abcd_exact`,
+`pi_cascade_oracle`, `solve_receiving_end`, `complex_power_accounting`),
+so its records are bit-identical to theirs after the one conversion
+to three-phase units, which happens in this loop and nowhere else:
+x*3/1e6 for powers and v*sqrt(3)/1e3 for voltages, in that operation
+order.  Those functions stay as the independent oracle the tests check
+it against, and the loop calls none of them.
 
 The pi-cascade chain is the oracle's repeated squaring of one
 `nominal_pi` section, with one shortcut: every power of the section is
@@ -53,6 +57,7 @@ __all__ = [
 
 MODEL_CHOICES = ("exact", "lossless", "pi-cascade")
 
+# the one sqrt(3): line-to-line over line-to-neutral voltage
 _SQRT3 = math.sqrt(3.0)
 
 
@@ -119,23 +124,28 @@ class SweepConfig(_Validated, namedtuple("SweepConfig", _SWEEP_FIELDS)):
         yield self.f_end
 
 
-class SweepRecord(namedtuple("SweepRecord", "f p_r q_r q_line vs_mag vr_mag delta_v singular")):
-    """One frequency point, per phase: f (Hz), p_r (W), q_r and q_line
-    (VAr), vs_mag and vr_mag (line-to-neutral V) and delta_v, all float,
-    and the bool singular.
+_RECORD_FIELDS = "f_hz p_r_mw q_r_mvar q_line_mvar vs_kv vr_kv delta_v singular"
 
-    The only record type of a sweep; `reporting.three_phase_row` turns it
-    into the three-phase MW/MVAr and line-to-line kV every output carries.
-    Singular (resonant) points keep f, vs_mag and the flag but carry None
-    for everything the solve would have produced.
+
+class SweepRecord(namedtuple("SweepRecord", _RECORD_FIELDS)):
+    """One frequency point, in the units and order of the records.csv
+    columns: f_hz (Hz), three-phase p_r_mw (MW), q_r_mvar and q_line_mvar
+    (MVAr), line-to-line vs_kv and vr_kv (kV) and delta_v, all float, and
+    the bool singular.
+
+    The only record type of a sweep.  Singular (resonant) points keep
+    f_hz, vs_kv and the flag but carry None for everything the solve
+    would have produced.  Every record of one sweep shares one vs_kv
+    float object, which lets `reporting.RecordWriter` format it once.
     """
 
     __slots__ = ()
 
 
 class TuningDip(namedtuple("TuningDip", "f_detected n_matched q_line_at_dip")):
-    """A local minimum of |q_line| at f_detected (float, Hz), matched to harmonic
-    n_matched (int, 0 if none); q_line_at_dip is its per-phase q_line (float, VAr)."""
+    """A local minimum of |q_line_mvar| at f_detected (float, Hz), matched to
+    harmonic n_matched (int, 0 if none); q_line_at_dip is its q_line_mvar
+    (float, three-phase MVAr)."""
 
     __slots__ = ()
 
@@ -160,12 +170,16 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
     then S_r = vr*conj(ir) and S_s = vs*conj(is).  A point is singular
     when |a + b*y| < 1e-9 * |a|, as in `solve_receiving_end`.
 
+    The record converts the per-phase p_r, q_r, q_line (W, VAr) and
+    |vs|, |vr| (V) to three-phase MW/MVAr and line-to-line kV; vs_kv is
+    computed once, and every record shares that float.
+
     Raises ValueError naming the frequency when a point's solution leaves
     the float range: an overflow or an infinite phase angle while building
-    the two-port, |vr| = 0, or a cell of `reporting.three_phase_row`'s row
-    that is not finite: one isfinite test of the sum of p_r, q_r, q_line
-    times 3, vr_mag times sqrt(3) and delta_v, which also rejects a row
-    whose finite cells sum past the float range.
+    the two-port, |vr| = 0, or a record cell that is not finite: one
+    isfinite test of the sum of p_r, q_r, q_line times 3, |vr| times
+    sqrt(3) and delta_v, which also rejects a row whose finite cells sum
+    past the float range.
     """
     line, length, model = cfg.line, cfg.length, cfg.model
     r, L, g, C = line.r, line.L, line.g, line.C
@@ -174,9 +188,11 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
     zc_lossless = math.sqrt(L / C)
     vs = complex(cfg.source_voltage / _SQRT3, 0.0)
     vs_mag = abs(vs)
+    vs_kv = vs_mag * _SQRT3 / 1e3
     two_pi = 2.0 * math.pi
     seg = length / cfg.pi_sections
     squarings, bits = _chain_plan(cfg.pi_sections)
+    new_record = tuple.__new__  # SweepRecord(...) without namedtuple's Python-level __new__
     try:
         for f in frequencies:
             omega = two_pi * f
@@ -205,7 +221,7 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
             y = complex(g_load, omega * c_load)
             den = a + b * y
             if den == 0 or abs(den) < _SINGULARITY_REL * abs(a):
-                yield SweepRecord(f, None, None, None, vs_mag, None, None, True)
+                yield SweepRecord(f, None, None, None, vs_kv, None, None, True)
                 continue
             vr = vs / den
             ir = y * vr
@@ -216,9 +232,15 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
             q_line = (vs * is_.conjugate()).imag - q_r
             vr_mag = abs(vr)
             delta_v = (vs_mag - vr_mag) / vr_mag  # ZeroDivisionError on |vr| = 0
-            if not math.isfinite(p_r * 3.0 + q_r * 3.0 + q_line * 3.0 + vr_mag * _SQRT3 + delta_v):
+            p_r3 = p_r * 3.0
+            q_r3 = q_r * 3.0
+            q_line3 = q_line * 3.0
+            vr_ll = vr_mag * _SQRT3
+            if not math.isfinite(p_r3 + q_r3 + q_line3 + vr_ll + delta_v):
                 raise OverflowError
-            yield SweepRecord(f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v, False)
+            yield new_record(SweepRecord, (
+                f, p_r3 / 1e6, q_r3 / 1e6, q_line3 / 1e6, vs_kv, vr_ll / 1e3, delta_v, False
+            ))
     except (ArithmeticError, ValueError):  # math.cos(inf) raises ValueError
         raise ValueError(f"solution out of float range at f = {f} Hz") from None
 
@@ -277,7 +299,7 @@ class TuningDipWindow:
     does not grow with the sweep.  `usable` counts the non-singular
     records seen so far.
 
-    A non-singular record is a dip when its |q_line| is strictly smaller
+    A non-singular record is a dip when its |q_line_mvar| is strictly smaller
     than both neighbours'; the first and last record of the sweep need
     only be smaller than their single neighbour (a tuning point can sit
     exactly on the sweep edge).  Records next to a singular one are not
@@ -295,7 +317,7 @@ class TuningDipWindow:
         self.velocity = velocity
         self.dips: list[TuningDip] = []
         self.usable = 0
-        # |q_line| of the record under judgement (_mid) and of its left
+        # |q_line_mvar| of the record under judgement (_mid) and of its left
         # neighbour.  A singular record's magnitude is nan and a missing
         # sweep-edge neighbour's is inf, so one test `q < left and
         # q < right` applies all the rules above: every comparison with
@@ -314,10 +336,10 @@ class TuningDipWindow:
             if rec.singular:
                 right = math.nan
             else:
-                right = abs(rec.q_line)
+                right = abs(rec.q_line_mvar)
                 usable += 1
             if step is None and mid is not None:
-                step = rec.f - mid.f
+                step = rec.f_hz - mid.f_hz
             if q < left and q < right:
                 self._match(mid, step)
             left, mid, q = q, rec, right
@@ -336,9 +358,9 @@ class TuningDipWindow:
         return self.dips
 
     def _match(self, rec: SweepRecord, step: float) -> None:
-        _, nearest = is_tuned(self.length, Frequency(rec.f), self.velocity)
-        n = nearest.n if abs(rec.f - nearest.value) <= 2.0 * step else 0
-        self.dips.append(TuningDip(f_detected=rec.f, n_matched=n, q_line_at_dip=rec.q_line))
+        _, nearest = is_tuned(self.length, Frequency(rec.f_hz), self.velocity)
+        n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
+        self.dips.append(TuningDip(rec.f_hz, n, rec.q_line_mvar))
 
 
 def detect_tuning_dips(

@@ -48,10 +48,10 @@ def reference_tuning_dips(records: list, length: float, velocity: float) -> list
     both neighbours looked up by index: the oracle the streaming window is
     checked against.
     """
-    step = records[1].f - records[0].f
+    step = records[1].f_hz - records[0].f_hz
 
     def magnitude(rec):
-        return None if rec.singular else abs(rec.q_line)
+        return None if rec.singular else abs(rec.q_line_mvar)
 
     dips = []
     last = len(records) - 1
@@ -68,9 +68,9 @@ def reference_tuning_dips(records: list, length: float, velocity: float) -> list
         else:
             is_dip = left is not None and right is not None and q < left and q < right
         if is_dip:
-            _, nearest = is_tuned(length, Frequency(rec.f), velocity)
-            n = nearest.n if abs(rec.f - nearest.value) <= 2.0 * step else 0
-            dips.append(TuningDip(f_detected=rec.f, n_matched=n, q_line_at_dip=rec.q_line))
+            _, nearest = is_tuned(length, Frequency(rec.f_hz), velocity)
+            n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
+            dips.append(TuningDip(f_detected=rec.f_hz, n_matched=n, q_line_at_dip=rec.q_line_mvar))
     return dips
 
 

@@ -121,7 +121,7 @@ def test_criterion_5_sweep_dip_detection(capsys):
     assert runtime < 5.0, f"951-point sweep took {runtime:.2f} s"
     assert len(records500) == 951
 
-    step = records500[1].f - records500[0].f
+    step = records500[1].f_hz - records500[0].f_hz
     dips500 = detect_tuning_dips(records500, cfg500.length, cfg500.line.velocity)
     matched500 = sorted(
         (d.n_matched, d.f_detected) for d in dips500 if d.n_matched > 0

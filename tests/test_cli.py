@@ -27,12 +27,7 @@ from conftest import (
 from tunedline import cli, run_sweep
 from tunedline.cli import main
 from tunedline.config import bundled_config_path, load_sweep_config
-from tunedline.reporting import (
-    CSV_FIELDS,
-    dips_report_json,
-    read_sweep_csv,
-    three_phase_row,
-)
+from tunedline.reporting import CSV_FIELDS, dips_report_json, read_sweep_csv
 
 RESONANT_CONFIG = """
 [line]
@@ -101,7 +96,7 @@ OVERFLOW_CASES = [
         50.0, id="section-length-underflow",
     ),
     # the tuned row's per-phase cells are finite (p_r = 7.5e307 W), and
-    # three_phase_row's p_r*3 would overflow to an inf cell
+    # its three-phase p_r*3 would overflow to an inf cell
     pytest.param(
         STOPBAND_CONFIG.replace("L = 5 mH/km", "L = 1.0 mH/km")
         .replace("C = 50 nF/km", "C = 1.1111111111111112e-08 F/km")
@@ -115,6 +110,8 @@ OVERFLOW_CASES = [
 
 # 1 followed by 400 zeros: an int that float() cannot hold
 HUGE_INT = 10**400
+# 1 followed by 5000 zeros: more digits than int() accepts (4300 by default)
+TOO_MANY_DIGITS = "1" + "0" * 5000
 
 
 class TestTuningCommand:
@@ -242,8 +239,8 @@ class TestSolveCommand:
         assert main(["solve", "--config", "experiment_500km", "--frequency", "437",
                      "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        row = [three_phase_row(r) for r in run_sweep(cfg) if r.f == 437.0][0]
-        assert report == dict(zip(CSV_FIELDS, row))
+        (record,) = [r for r in run_sweep(cfg) if r.f_hz == 437.0]
+        assert report == record._asdict()
 
 
 class TestSweepCommand:
@@ -281,8 +278,7 @@ class TestSweepCommand:
         out = tmp_path / "rt"
         assert main(["sweep", "--config", "experiment_500km", "--out", str(out)]) == 0
         cfg = load_sweep_config(bundled_config_path("experiment_500km"))
-        expected_rows = [three_phase_row(r) for r in run_sweep(cfg)]
-        assert read_sweep_csv(out / "records.csv") == expected_rows
+        assert read_sweep_csv(out / "records.csv") == run_sweep(cfg)
 
     @pytest.mark.parametrize("name", ["experiment_500km", "experiment_300km"])
     def test_bundled_records_csv_match_golden_hashes(self, capsys, tmp_path, name):
@@ -372,6 +368,12 @@ class TestSweepCommand:
                          id="pi_sections-huge"),
             pytest.param("L = 1.0 mH/km\ng = 0 S/km\nC = 1.1111111111111112e-08 F/km",
                          "L = 1e-200 H/km\ng = 0 S/km\nC = 1e-200 F/km", id="LC-underflow"),
+            # ints int() refuses to read: the error names the file and the
+            # digit count instead of echoing 5001 digits
+            pytest.param("n_points = 951", f"n_points = {TOO_MANY_DIGITS}",
+                         id="n_points-5001-digits"),
+            pytest.param("model = lossless", f"model = pi-cascade({TOO_MANY_DIGITS})",
+                         id="pi_sections-5001-digits"),
         ],
     )
     def test_non_finite_input_exits_2_without_output(self, capsys, tmp_path, old, new):
@@ -386,6 +388,7 @@ class TestSweepCommand:
             assert captured.out == ""
             assert captured.err.startswith(f"error: {cfg_file}: ")
             assert captured.err.count("\n") == 1
+            assert len(captured.err) < len(f"error: {cfg_file}: ") + 150
         assert not out.exists()
 
     @pytest.mark.parametrize("text, frequency", OVERFLOW_CASES)
@@ -510,14 +513,13 @@ class TestSweepStreaming:
 
         cfg = load_sweep_config(path)
         records = run_sweep(cfg)
-        rows = [three_phase_row(r) for r in records]
         expected = {
-            "records.csv": records_csv_per_cell(rows),
-            "records.json": records_json_by_encoder(rows),
+            "records.csv": records_csv_per_cell(records),
+            "records.json": records_json_by_encoder(records),
             "dips.json": dips_report_json(
                 reference_tuning_dips(records, cfg.length, cfg.line.velocity)
             ),
-            **{f"{q}.dat": text for q, text in plot_data_per_cell(rows).items()},
+            **{f"{q}.dat": text for q, text in plot_data_per_cell(records).items()},
         }
         assert any(r.singular for r in records) == (config == "resonant")
         assert sorted(p.name for p in out.iterdir()) == sorted([*expected, "manifest.json"])
@@ -542,7 +544,7 @@ class TestSweepStreaming:
 
         cfg = load_sweep_config(config)
         records = run_sweep(cfg)
-        assert records[position].f == f_center
+        assert records[position].f_hz == f_center
         assert records[position].singular == (f_center == 75.0)
         dips = reference_tuning_dips(records, cfg.length, cfg.line.velocity)
         if f_center == 300.0:

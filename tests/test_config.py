@@ -184,3 +184,35 @@ def test_resolve_config_arg(tmp_path):
 def test_load_missing_file():
     with pytest.raises(ConfigError):
         load_sweep_config("/nonexistent/path/config.ini")
+
+
+LONG = "9" * 5000 + "x"  # 5001 characters that read as no number, int or model
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n_points = 951", f"n_points = {LONG}",
+         "[sweep] n_points: '99999999999999999999'... (5001 characters) is not an integer"),
+        ("n_points = 951", f"n_points = {'9' * 5001}",
+         "[sweep] n_points: an integer of 5001 digits, more than the 4300 accepted"),
+        ("model = lossless", f"model = pi-cascade({'9' * 5001})",
+         "[sweep] model pi-cascade(N): an integer of 5001 digits, more than the 4300 accepted"),
+        ("model = lossless", f"model = {LONG}",
+         "[sweep] model must be exact, lossless, pi-cascade or pi-cascade(N), "
+         "got '99999999999999999999'... (5001 characters)"),
+        ("length = 500 km", f"length = {LONG} km",
+         "[line] length: '99999999999999999999'... (5001 characters) is not a number"),
+        ("length = 500 km", f"length = 500 {LONG}",
+         "[line] length: unknown unit '99999999999999999999'... (5001 characters) "
+         "(allowed: km, m)"),
+    ],
+    ids=["n_points-text", "n_points-digits", "pi_sections-digits", "model-text",
+         "length-number", "length-unit"],
+)
+def test_long_values_are_echoed_cut_short(old, new, message):
+    # int() refuses more than 4300 digits; no message echoes a value whole
+    assert old in GOOD
+    with pytest.raises(ConfigError) as excinfo:
+        parse_sweep_config(GOOD.replace(old, new), origin="cfg.ini")
+    assert str(excinfo.value) == f"cfg.ini: {message}"

@@ -1,4 +1,4 @@
-"""Tests for the three-phase conversion and the record file writer."""
+"""Tests for the record file writer and the atomic file writes."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from conftest import plot_data_per_cell, records_csv_per_cell, records_json_by_e
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tunedline import SweepRecord, three_phase_row
+from tunedline import SweepRecord
 from tunedline.reporting import (
     CSV_FIELDS,
     CSV_HEADER,
@@ -55,7 +55,7 @@ def write_records(rows: list[tuple], cuts: list[int] = ()) -> tuple[str, str, li
 
 def test_csv_fields_follow_header():
     assert ",".join(CSV_FIELDS) == CSV_HEADER
-    assert len(CSV_FIELDS) == len(SweepRecord._fields)
+    assert CSV_FIELDS == SweepRecord._fields
 
 
 @given(values=st.tuples(*[finite] * 7))
@@ -72,30 +72,6 @@ def test_singular_template_line_matches_per_cell_format(f, vs_kv):
     assert write_records([row])[0] == records_csv_per_cell([row])
 
 
-@given(values=st.tuples(*[finite] * 7))
-@settings(max_examples=300)
-def test_three_phase_row_units(values):
-    f, p_r, q_r, q_line, vs_mag, vr_mag, delta_v = values
-    row = three_phase_row(SweepRecord(*values, False))
-    # x*3/1e6 and v*sqrt(3)/1e3, in this operation order: the CSV bytes
-    # depend on it
-    assert row == (
-        f,
-        p_r * 3.0 / 1e6,
-        q_r * 3.0 / 1e6,
-        q_line * 3.0 / 1e6,
-        vs_mag * 3.0**0.5 / 1e3,
-        vr_mag * 3.0**0.5 / 1e3,
-        delta_v,
-        False,
-    )
-
-
-def test_three_phase_row_of_singular_record():
-    row = three_phase_row(SweepRecord(75.0, None, None, None, 127e3, None, None, True))
-    assert row == (75.0, None, None, None, 127e3 * 3.0**0.5 / 1e3, None, None, True)
-
-
 @given(rows=rows_strategy, cuts=st.lists(st.integers(min_value=0, max_value=12), max_size=6))
 @example(rows=[], cuts=[])
 @example(rows=[], cuts=[0, 0])
@@ -108,6 +84,55 @@ def test_three_phase_row_of_singular_record():
 @settings(max_examples=200)
 def test_record_writer_chunks_equal_whole_list_formatters(rows, cuts):
     # rows split at the cuts give the bytes the whole-list oracles give for all rows
+    csv_text, json_text, plot_texts = write_records(rows, cuts)
+    assert csv_text == records_csv_per_cell(rows)
+    assert json_text == records_json_by_encoder(rows)
+    plot_data = plot_data_per_cell(rows)
+    assert plot_texts == [plot_data[q] for q in PLOT_QUANTITIES]
+
+
+# vs_kv values whose cells the writer must not mix up: -0.0 == 0.0 but
+# prints "-0", nan equals nothing, and the subnormal 5e-324
+shared_vs = st.sampled_from(
+    [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
+) | st.floats()
+
+
+def vs_variant(vs: float, kind: int) -> float:
+    """vs itself (kind 0), a distinct float object equal to it (1), or,
+    for a zero or nan, the opposite-signed value (2)."""
+    if kind == 0:
+        return vs
+    if kind == 2 and (vs == 0.0 or vs != vs):
+        return -vs
+    return -(-vs)  # a new object: same bits, not the same float
+
+
+@st.composite
+def shared_vs_rows(draw) -> list[tuple]:
+    """Rows most of which hold one vs_kv float object, the rest an
+    ==-equal copy of it or its opposite-signed zero or nan."""
+    vs = draw(shared_vs)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from((0, 0, 0, 1, 2)), max_size=12)):
+        v = vs_variant(vs, kind)
+        if draw(st.booleans()):
+            rows.append((draw(cell), None, None, None, v, None, None, True))
+        else:
+            f, p, q, ql, vr, dv = draw(st.tuples(*[cell] * 6))
+            rows.append((f, p, q, ql, v, vr, dv, False))
+    return rows
+
+
+@given(rows=shared_vs_rows(), cuts=st.lists(st.integers(min_value=0, max_value=12), max_size=6))
+@example(rows=[(1.0, 2.0, 3.0, 4.0, z, 5.0, 6.0, False) for z in (0.0, -0.0, 0.0)], cuts=[])
+@example(rows=[(1.0, None, None, None, z, None, None, True) for z in (-0.0, 0.0)], cuts=[])
+@example(rows=[(1.0, 2.0, 3.0, 4.0, z, 5.0, 6.0, False)
+               for z in (float("nan"), float("-nan"), float("nan"))], cuts=[1])
+@settings(max_examples=300)
+def test_record_writer_formats_shared_vs_kv_like_per_cell_formatters(rows, cuts):
+    # the writer formats a run of rows sharing one vs_kv object once; rows
+    # with an equal but distinct or opposite-signed vs_kv keep their own cell
     csv_text, json_text, plot_texts = write_records(rows, cuts)
     assert csv_text == records_csv_per_cell(rows)
     assert json_text == records_json_by_encoder(rows)

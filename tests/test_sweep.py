@@ -129,13 +129,13 @@ class TestSweepConfig:
 class TestRunSweep:
     def test_two_point_sweep(self):
         records = run_sweep(experiment_config(500.0, n_points=2))
-        assert [r.f for r in records] == [50.0, 1000.0]
+        assert [r.f_hz for r in records] == [50.0, 1000.0]
         assert not any(r.singular for r in records)
 
     def test_records_ascending_and_complete(self):
         records = run_sweep(experiment_config(500.0))
         assert len(records) == 951
-        assert all(a.f < b.f for a, b in zip(records, records[1:]))
+        assert all(a.f_hz < b.f_hz for a, b in zip(records, records[1:]))
 
     def test_deterministic(self):
         cfg = experiment_config(500.0)
@@ -145,8 +145,9 @@ class TestRunSweep:
         lossless = run_sweep(experiment_config(500.0, n_points=20))
         exact = run_sweep(experiment_config(500.0, n_points=20, model="exact"))
         for a, b in zip(lossless, exact):
-            assert b.p_r == pytest.approx(a.p_r, rel=1e-9)
-            assert b.q_line == pytest.approx(a.q_line, rel=1e-9, abs=1e-3)
+            assert b.p_r_mw == pytest.approx(a.p_r_mw, rel=1e-9)
+            # abs 3e-9 MVAr three-phase is 1e-3 VAr per phase
+            assert b.q_line_mvar == pytest.approx(a.q_line_mvar, rel=1e-9, abs=3e-9)
 
     def test_pi_cascade_model_runs(self):
         records = run_sweep(
@@ -168,10 +169,10 @@ class TestRunSweep:
         records = run_sweep(cfg)
         assert [r.singular for r in records] == [False, True, False]
         bad = records[1]
-        assert bad.f == 75.0
-        assert bad.p_r is None and bad.q_r is None and bad.q_line is None
-        assert bad.vr_mag is None and bad.delta_v is None
-        assert bad.vs_mag == pytest.approx(220e3 / math.sqrt(3))
+        assert bad.f_hz == 75.0
+        assert bad.p_r_mw is None and bad.q_r_mvar is None and bad.q_line_mvar is None
+        assert bad.vr_kv is None and bad.delta_v is None
+        assert bad.vs_kv == pytest.approx(220.0)
 
     def test_solution_matches_direct_solve(self):
         from tunedline import complex_power_accounting, solve_receiving_end
@@ -179,13 +180,14 @@ class TestRunSweep:
         cfg = experiment_config(500.0, n_points=20)
         records = run_sweep(cfg)
         probe = records[7]
-        freq = Frequency(probe.f)
+        freq = Frequency(probe.f_hz)
         state = solve_receiving_end(
             abcd_exact(LINE, 500.0, freq), complex(220e3 / math.sqrt(3), 0.0), LOAD, freq
         )
         result = complex_power_accounting(state)
-        assert probe.p_r == pytest.approx(result.p_r, rel=1e-9)
-        assert probe.q_line == pytest.approx(result.q_line, rel=1e-9, abs=1e-3)
+        assert probe.p_r_mw == pytest.approx(result.p_r * 3.0 / 1e6, rel=1e-9)
+        # abs 3e-9 MVAr three-phase is 1e-3 VAr per phase
+        assert probe.q_line_mvar == pytest.approx(result.q_line * 3.0 / 1e6, rel=1e-9, abs=3e-9)
 
 
 def lossy_tuning_frequency(line: LineParameters, length: float, n: int) -> float:
@@ -226,7 +228,7 @@ class TestDetectTuningDips:
         cfg = cfg._replace(line=line, model="exact")
         assert cfg.n_points == 951
         records = run_sweep(cfg)
-        step = records[1].f - records[0].f
+        step = records[1].f_hz - records[0].f_hz
         dips = detect_tuning_dips(records, cfg.length, line.velocity)
         matched = {d.n_matched: d.f_detected for d in dips if d.n_matched > 0}
         assert sorted(matched) == [1, 2, 3]
@@ -248,23 +250,23 @@ class TestDetectTuningDips:
 
     def test_delta_v_small_at_matched_dips(self):
         records = run_sweep(experiment_config(500.0))
-        by_f = {r.f: r for r in records}
+        by_f = {r.f_hz: r for r in records}
         for d in detect_tuning_dips(records, 500.0, 3e5):
             if d.n_matched > 0:
                 assert abs(by_f[d.f_detected].delta_v) < 1e-3
 
     def test_dips_below_inter_harmonic_midpoints(self):
         records = run_sweep(experiment_config(500.0))
-        by_f = {r.f: r for r in records}
+        by_f = {r.f_hz: r for r in records}
         dips = {d.n_matched: d for d in detect_tuning_dips(records, 500.0, 3e5) if d.n_matched}
         for n, midpoint in ((1, 450.0), (2, 750.0)):
-            assert abs(dips[n].q_line_at_dip) < abs(by_f[midpoint].q_line)
-            assert abs(dips[n + 1].q_line_at_dip) < abs(by_f[midpoint].q_line)
+            assert abs(dips[n].q_line_at_dip) < abs(by_f[midpoint].q_line_mvar)
+            assert abs(dips[n + 1].q_line_at_dip) < abs(by_f[midpoint].q_line_mvar)
 
     def test_stable_under_grid_refinement(self):
         coarse = run_sweep(experiment_config(500.0))
         fine = run_sweep(experiment_config(500.0, n_points=1902))
-        coarse_step = coarse[1].f - coarse[0].f
+        coarse_step = coarse[1].f_hz - coarse[0].f_hz
         coarse_matched = {
             d.n_matched: d.f_detected
             for d in detect_tuning_dips(coarse, 500.0, 3e5)
@@ -282,12 +284,12 @@ class TestDetectTuningDips:
     def test_flat_records_have_no_dips(self):
         records = [
             SweepRecord(
-                f=float(f),
-                p_r=1.0,
-                q_r=1.0,
-                q_line=5.0,
-                vs_mag=1.0,
-                vr_mag=1.0,
+                f_hz=float(f),
+                p_r_mw=1.0,
+                q_r_mvar=1.0,
+                q_line_mvar=5.0,
+                vs_kv=1.0,
+                vr_kv=1.0,
                 delta_v=0.0,
                 singular=False,
             )
@@ -306,8 +308,8 @@ class TestDetectTuningDips:
         # knock out the record next to the dip: the dip at 300 survives,
         # but a minimum adjacent to the gap must not be invented
         records = [
-            SweepRecord(r.f, None, None, None, r.vs_mag, None, None, True)
-            if r.f == 295.0
+            SweepRecord(r.f_hz, None, None, None, r.vs_kv, None, None, True)
+            if r.f_hz == 295.0
             else r
             for r in good
         ]
@@ -322,7 +324,7 @@ class TestDetectTuningDips:
 @st.composite
 def chunked_records(draw) -> tuple[list[SweepRecord], list[int]]:
     """Records on a 1 Hz grid near the 300 Hz harmonic of a 500 km line,
-    some singular, |q_line| from a few values so ties occur; and the
+    some singular, |q_line_mvar| from a few values so ties occur; and the
     chunk sizes they are fed in."""
     n = draw(st.integers(min_value=2, max_value=40))
     f_start = draw(st.sampled_from((280.0, 290.0, 296.5, 299.0, 300.0)))
@@ -375,7 +377,9 @@ def test_dip_window_in_chunks_equals_whole_list_detection(length, harmonics):
 
 
 def oracle_record(cfg: SweepConfig, f: float) -> SweepRecord:
-    """The record abcd_* -> solve_receiving_end -> complex_power_accounting give."""
+    """The record abcd_* -> solve_receiving_end -> complex_power_accounting give,
+    converted to three-phase MW/MVAr and line-to-line kV: x*3/1e6 and
+    v*sqrt(3)/1e3, in that operation order."""
     freq = Frequency(f)
     if cfg.model == "lossless":
         line = abcd_lossless(cfg.line, cfg.length, freq)
@@ -387,11 +391,12 @@ def oracle_record(cfg: SweepConfig, f: float) -> SweepRecord:
     try:
         state = solve_receiving_end(line, vs, cfg.load, freq)
     except ResonanceError:
-        return SweepRecord(f, None, None, None, abs(vs), None, None, True)
+        return SweepRecord(f, None, None, None, abs(vs) * math.sqrt(3.0) / 1e3, None, None, True)
     result = complex_power_accounting(state)
     return SweepRecord(
-        f, result.p_r, result.q_r, result.q_line,
-        abs(state.vs), abs(state.vr), result.delta_v, False,
+        f, result.p_r * 3.0 / 1e6, result.q_r * 3.0 / 1e6, result.q_line * 3.0 / 1e6,
+        abs(state.vs) * math.sqrt(3.0) / 1e3, abs(state.vr) * math.sqrt(3.0) / 1e3,
+        result.delta_v, False,
     )
 
 
@@ -518,7 +523,7 @@ def oracle_record_or_error(cfg: SweepConfig, f: float) -> SweepRecord | str:
         rec = oracle_record(cfg, f)
     except (ArithmeticError, ValueError):
         return error
-    if not rec.singular and not math.isfinite(rec.p_r + rec.q_line + rec.delta_v):
+    if not rec.singular and not math.isfinite(rec.p_r_mw + rec.q_line_mvar + rec.delta_v):
         return error
     return rec
 
@@ -558,9 +563,47 @@ def test_property_fused_pi_chain_is_bit_identical_to_pi_cascade_oracle(case):
 def test_sweep_points_solves_arbitrary_frequencies():
     cfg = experiment_config(500.0, load=LoadSpec(0.0, C_RESONANT_75HZ))
     records = list(sweep_points(cfg, [75.0, 437.3, 60.0]))
-    assert [r.f for r in records] == [75.0, 437.3, 60.0]
+    assert [r.f_hz for r in records] == [75.0, 437.3, 60.0]
     assert [r.singular for r in records] == [True, False, False]
     assert records == [oracle_record(cfg, f) for f in (75.0, 437.3, 60.0)]
+
+
+def test_records_carry_three_phase_units():
+    # the 500 km line is tuned at 300 Hz, so |Vr| = |Vs| = 220 kV line to
+    # line and the bundled load (100 MW and 100 MVAr at 50 Hz and 220 kV)
+    # takes 100 MW and, at six times its rated frequency, gives 600 MVAr
+    cfg = load_sweep_config(bundled_config_path("experiment_500km"))
+    (rec,) = sweep_points(cfg, [300.0])
+    assert rec.vs_kv == pytest.approx(220.0, rel=1e-12)
+    assert rec.vr_kv == pytest.approx(220.0, rel=1e-9)
+    assert rec.p_r_mw == pytest.approx(100.0, rel=1e-9)
+    assert rec.q_r_mvar == pytest.approx(-600.0, rel=1e-9)
+    # x*3/1e6 and v*sqrt(3)/1e3, in this operation order: the CSV bytes
+    # depend on it
+    freq = Frequency(300.0)
+    vs = complex(220e3 / math.sqrt(3.0), 0.0)
+    state = solve_receiving_end(abcd_lossless(cfg.line, cfg.length, freq), vs, cfg.load, freq)
+    power = complex_power_accounting(state)
+    assert rec == (
+        300.0,
+        power.p_r * 3.0 / 1e6,
+        power.q_r * 3.0 / 1e6,
+        power.q_line * 3.0 / 1e6,
+        abs(vs) * math.sqrt(3.0) / 1e3,
+        abs(state.vr) * math.sqrt(3.0) / 1e3,
+        power.delta_v,
+        False,
+    )
+
+
+def test_singular_record_carries_f_hz_and_vs_kv_only():
+    cfg = experiment_config(500.0, load=LoadSpec(0.0, C_RESONANT_75HZ))
+    singular, plain = sweep_points(cfg, [75.0, 60.0])
+    vs_kv = abs(complex(220e3 / math.sqrt(3.0), 0.0)) * math.sqrt(3.0) / 1e3
+    assert singular == (75.0, None, None, None, vs_kv, None, None, True)
+    # one vs_kv float object for the whole sweep, which the writer formats once
+    assert not plain.singular
+    assert singular.vs_kv is plain.vs_kv
 
 
 # --- stopband pi-cascade rows against an exact rational chain --------------
@@ -634,8 +677,11 @@ def test_stopband_pi_cascade_rows_match_rational_chain(sections):
     assert product.reciprocity_defect() > 1e6 * RECIPROCITY_TOL
     for rec in run_sweep(cfg):
         assert not rec.singular
-        p_r, q_r, q_line, vr_mag, delta_v, apparent = rational_chain_record(cfg, rec.f)
-        assert abs(rec.vr_mag - vr_mag) <= 1e-12 * vr_mag
+        p_r, q_r, q_line, vr_mag, delta_v, apparent = rational_chain_record(cfg, rec.f_hz)
+        # the references in the records' units, converted as the sweep converts
+        vr_kv = vr_mag * math.sqrt(3.0) / 1e3
+        assert abs(rec.vr_kv - vr_kv) <= 1e-12 * vr_kv
         assert abs(rec.delta_v - delta_v) <= 1e-12 * abs(delta_v)
-        for got, want in ((rec.p_r, p_r), (rec.q_r, q_r), (rec.q_line, q_line)):
-            assert abs(got - want) <= 1e-12 * apparent
+        apparent_mva = apparent * 3.0 / 1e6
+        for got, want in ((rec.p_r_mw, p_r), (rec.q_r_mvar, q_r), (rec.q_line_mvar, q_line)):
+            assert abs(got - want * 3.0 / 1e6) <= 1e-12 * apparent_mva

@@ -41,7 +41,7 @@ def value_types() -> list:
         PowerResult(p_r=1.0, q_r=-1.0, delta_v=0.0, q_line=0.5),
         SweepConfig(line=line, length=500.0, source_voltage=220e3, load=load,
                     f_start=50.0, f_end=1000.0, n_points=951),
-        SweepRecord(50.0, 1.0, -1.0, 0.5, 127e3, 127e3, 0.0, False),
+        SweepRecord(50.0, 1.0, -1.0, 0.5, 220.0, 220.0, 0.0, False),
         TuningDip(f_detected=300.0, n_matched=1, q_line_at_dip=0.0),
         TuningSolution(n=1, value=300.0),
     ]
