@@ -42,8 +42,6 @@ from .sweep import (
     SweepRecord,
     TuningDip,
     TuningDipWindow,
-    detect_tuning_dips,
-    run_sweep,
     sweep_points,
 )
 from .tuning import (
@@ -84,8 +82,6 @@ __all__ = [
     "SweepRecord",
     "TuningDip",
     "TuningDipWindow",
-    "detect_tuning_dips",
-    "run_sweep",
     "sweep_points",
     "DEFAULT_VELOCITY_KM_S",
     "TuningSolution",

@@ -170,8 +170,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             n_records += len(chunk)
         writer.close()
 
-    # dip detection needs 3 usable records; fewer report no dips
-    dips = window.close() if window.usable >= 3 else []
+    dips = window.close()
     write_text_atomic(dips_path, dips_report_json(dips))
     outputs = [csv_path, *([json_path] if json_path else []), dips_path, *dat_paths]
     manifest = build_manifest(cfg, [str(path) for path in outputs])

@@ -83,6 +83,23 @@ def _quoted(text: str) -> str:
     return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
+def _read_error(exc: configparser.Error, text: str, origin: str) -> ConfigError:
+    """One line for text that configparser cannot read, built from the
+    error's fields: str(exc) spans lines and echoes names and lines whole."""
+    lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
+    if isinstance(exc, configparser.DuplicateOptionError):
+        what = f"key {_quoted(exc.option)} repeats in section {_quoted(exc.section)}"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        what = f"section {_quoted(exc.section)} repeats"
+    else:  # a ParsingError, whose fields hold the line's repr
+        line = _quoted(text.split("\n")[lineno - 1])
+        if isinstance(exc, configparser.MissingSectionHeaderError):
+            what = f"{line} comes before the first [section] header"
+        else:
+            what = f"{line} is neither a [section] header nor a key = value line"
+    return ConfigError(f"{origin}: line {lineno}: {what}")
+
+
 def _parse_int(text: str, where: str) -> int:
     """int(text), or a ConfigError naming where; text is not echoed whole."""
     try:
@@ -153,11 +170,9 @@ class _Section:
         return key in self.raw
 
     def check_no_extras(self) -> None:
-        extras = set(self.raw) - self.seen
+        extras = ", ".join(sorted(set(self.raw) - self.seen))
         if extras:
-            raise ConfigError(
-                f"{self.origin}: unknown key(s) in [{self.name}]: {', '.join(sorted(extras))}"
-            )
+            raise ConfigError(f"{self.origin}: unknown key(s) in [{self.name}]: {_quoted(extras)}")
 
 
 def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
@@ -166,16 +181,16 @@ def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
-        raise ConfigError(f"{origin}: {exc}") from None
+        raise _read_error(exc, text, origin) from None
 
     required = {"line", "load", "source", "sweep"}
     present = set(parser.sections())
     missing = required - present
     if missing:
         raise ConfigError(f"{origin}: missing section(s): {', '.join(sorted(missing))}")
-    extras = present - required
+    extras = ", ".join(sorted(present - required))
     if extras:
-        raise ConfigError(f"{origin}: unknown section(s): {', '.join(sorted(extras))}")
+        raise ConfigError(f"{origin}: unknown section(s): {_quoted(extras)}")
 
     def section(name: str) -> _Section:
         return _Section(name, dict(parser[name]), origin)

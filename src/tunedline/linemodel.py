@@ -150,13 +150,9 @@ class TwoPort(namedtuple("TwoPort", "a b c d")):
     def identity(cls) -> "TwoPort":
         return cls(1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j)
 
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
     def reciprocity_defect(self) -> float:
         """|a*d - b*c - 1|; zero for any passive reciprocal network."""
-        return abs(self.det - 1.0)
+        return abs(self.a * self.d - self.b * self.c - 1.0)
 
     def __matmul__(self, other: "TwoPort") -> "TwoPort":
         """Matrix product, self on the sending side of other."""

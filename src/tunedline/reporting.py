@@ -57,7 +57,6 @@ __all__ = [
     "CSV_FIELDS",
     "PLOT_QUANTITIES",
     "RecordWriter",
-    "read_sweep_csv",
     "open_atomic",
     "write_text_atomic",
     "dips_report_json",
@@ -181,30 +180,6 @@ class RecordWriter:
         """Write the records.json tail; call once, after the last write."""
         if self._json is not None:
             self._json.write("[]\n" if self._json_separator == "[\n" else "\n]\n")
-
-
-def read_sweep_csv(path: str | Path) -> list[SweepRecord]:
-    """Parse an emitted CSV back into records (floats round-trip exactly)."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: unexpected CSV header")
-
-    flags = {"true": True, "false": False}
-
-    def parse(line: str) -> SweepRecord:
-        cells = line.split(",")
-        if len(cells) != 8 or cells[7] not in flags:
-            raise ValueError(line)
-        return SweepRecord(*[None if c == "" else float(c) for c in cells[:7]], flags[cells[7]])
-
-    rows = []
-    for line in lines[1:]:
-        try:
-            rows.append(parse(line))
-        except ValueError:
-            raise ValueError(f"{path}: malformed row {line!r}") from None
-    return rows
 
 
 @contextmanager

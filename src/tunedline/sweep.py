@@ -50,9 +50,7 @@ __all__ = [
     "SweepRecord",
     "TuningDip",
     "TuningDipWindow",
-    "run_sweep",
     "sweep_points",
-    "detect_tuning_dips",
 ]
 
 MODEL_CHOICES = ("exact", "lossless", "pi-cascade")
@@ -148,16 +146,6 @@ class TuningDip(namedtuple("TuningDip", "f_detected n_matched q_line_at_dip")):
     (float, three-phase MVAr)."""
 
     __slots__ = ()
-
-
-def run_sweep(cfg: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the source-line-load solution at every grid frequency.
-
-    Grid points are independent; they are evaluated sequentially and
-    returned in ascending frequency order.  Per-point resonances produce
-    singular records instead of aborting.
-    """
-    return list(sweep_points(cfg, cfg.grid()))
 
 
 def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[SweepRecord]:
@@ -349,11 +337,11 @@ class TuningDipWindow:
     def close(self) -> list[TuningDip]:
         """Judge the last record against its left neighbour; return all dips.
 
-        Raises ValueError when fewer than 3 non-singular records were fed.
+        Fewer than 3 non-singular records give no dips, edges included.
         """
         if self.usable < 3:
-            raise ValueError("need at least 3 non-singular records to detect dips")
-        if self._q < self._left:
+            self.dips.clear()
+        elif self._q < self._left:
             self._match(self._mid, self._step)
         return self.dips
 
@@ -361,15 +349,3 @@ class TuningDipWindow:
         _, nearest = is_tuned(self.length, Frequency(rec.f_hz), self.velocity)
         n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
         self.dips.append(TuningDip(rec.f_hz, n, rec.q_line_mvar))
-
-
-def detect_tuning_dips(
-    records: Iterable[SweepRecord], length: float, velocity: float
-) -> list[TuningDip]:
-    """Tuning dips of a whole sweep; see TuningDipWindow for the rules.
-
-    Raises ValueError when fewer than 3 records are non-singular.
-    """
-    window = TuningDipWindow(length, velocity)
-    window.extend(records)
-    return window.close()

@@ -1,11 +1,20 @@
-"""Shared helpers: two-port comparison at mixed entry scales, reference dips,
-and record-file oracles."""
+"""Shared helpers: two-port comparison at mixed entry scales, a whole sweep
+and its dips as lists, reference dips, and record-file oracles."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from tunedline import Frequency, TuningDip, TwoPort, is_tuned
+from tunedline import (
+    Frequency,
+    SweepRecord,
+    TuningDip,
+    TuningDipWindow,
+    TwoPort,
+    is_tuned,
+    sweep_points,
+)
 from tunedline.reporting import CSV_FIELDS, CSV_HEADER
 
 
@@ -39,6 +48,18 @@ def assert_twoport_close(
         assert abs(x - y) <= rtol * scale, (
             f"entry {name}: {x} vs {y}, diff {abs(x - y):.3e} > {rtol:.1e} * {scale:.3e}"
         )
+
+
+def sweep_records(cfg) -> list:
+    """Every record of cfg's sweep, collected from the stream."""
+    return list(sweep_points(cfg, cfg.grid()))
+
+
+def window_dips(records, length: float, velocity: float) -> list:
+    """The dips of one TuningDipWindow fed all the records at once."""
+    window = TuningDipWindow(length, velocity)
+    window.extend(records)
+    return window.close()
 
 
 def reference_tuning_dips(records: list, length: float, velocity: float) -> list:
@@ -88,6 +109,18 @@ def records_csv_per_cell(rows: list[tuple]) -> str:
 def records_json_by_encoder(rows: list[tuple]) -> str:
     """records.json as the JSON encoder writes it."""
     return json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n"
+
+
+def read_records_csv(path) -> list:
+    """records.csv parsed back into SweepRecords: an empty cell is None,
+    the others float, and the last cell the true/false flag."""
+    header, *lines = Path(path).read_text().splitlines()
+    assert header == CSV_HEADER
+    flags = {"true": True, "false": False}
+    return [
+        SweepRecord(*[None if c == "" else float(c) for c in cells], flags[flag])
+        for *cells, flag in (line.split(",") for line in lines)
+    ]
 
 
 def plot_data_per_cell(rows: list[tuple]) -> dict[str, str]:

@@ -10,7 +10,7 @@ import math
 import time
 
 import numpy as np
-from conftest import twoport_max_error
+from conftest import sweep_records, twoport_max_error, window_dips
 
 from tunedline import (
     Frequency,
@@ -20,13 +20,11 @@ from tunedline import (
     abcd_exact,
     complex_power_accounting,
     default_line,
-    detect_tuning_dips,
     nominal_pi,
     pi_cascade_oracle,
     reactive_power_tuned,
     reactive_power_with_regulation,
     receiving_reactive_power,
-    run_sweep,
     solve_receiving_end,
     tuned_lengths,
     tuning_frequencies,
@@ -116,13 +114,13 @@ def test_criterion_4_zero_regulation_at_tuning(capsys):
 def test_criterion_5_sweep_dip_detection(capsys):
     cfg500 = load_sweep_config(bundled_config_path("experiment_500km"))
     t0 = time.perf_counter()
-    records500 = run_sweep(cfg500)
+    records500 = sweep_records(cfg500)
     runtime = time.perf_counter() - t0
     assert runtime < 5.0, f"951-point sweep took {runtime:.2f} s"
     assert len(records500) == 951
 
     step = records500[1].f_hz - records500[0].f_hz
-    dips500 = detect_tuning_dips(records500, cfg500.length, cfg500.line.velocity)
+    dips500 = window_dips(records500, cfg500.length, cfg500.line.velocity)
     matched500 = sorted(
         (d.n_matched, d.f_detected) for d in dips500 if d.n_matched > 0
     )
@@ -131,8 +129,8 @@ def test_criterion_5_sweep_dip_detection(capsys):
         assert abs(f_detected - n * V / (2.0 * cfg500.length)) <= step
 
     cfg300 = load_sweep_config(bundled_config_path("experiment_300km"))
-    records300 = run_sweep(cfg300)
-    dips300 = detect_tuning_dips(records300, cfg300.length, cfg300.line.velocity)
+    records300 = sweep_records(cfg300)
+    dips300 = window_dips(records300, cfg300.length, cfg300.line.velocity)
     matched300 = sorted(
         (d.n_matched, d.f_detected) for d in dips300 if d.n_matched > 0
     )

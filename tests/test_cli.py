@@ -22,12 +22,14 @@ from conftest import (
     plot_data_per_cell,
     records_csv_per_cell,
     records_json_by_encoder,
+    read_records_csv,
     reference_tuning_dips,
+    sweep_records,
 )
-from tunedline import cli, run_sweep
+from tunedline import cli
 from tunedline.cli import main
 from tunedline.config import bundled_config_path, load_sweep_config
-from tunedline.reporting import CSV_FIELDS, dips_report_json, read_sweep_csv
+from tunedline.reporting import CSV_FIELDS, dips_report_json
 
 RESONANT_CONFIG = """
 [line]
@@ -112,6 +114,8 @@ OVERFLOW_CASES = [
 HUGE_INT = 10**400
 # 1 followed by 5000 zeros: more digits than int() accepts (4300 by default)
 TOO_MANY_DIGITS = "1" + "0" * 5000
+# a key, section name or line of 3000 characters
+LONG_NAME = "k" * 3000
 
 
 class TestTuningCommand:
@@ -239,7 +243,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", "experiment_500km", "--frequency", "437",
                      "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        (record,) = [r for r in run_sweep(cfg) if r.f_hz == 437.0]
+        (record,) = [r for r in sweep_records(cfg) if r.f_hz == 437.0]
         assert report == record._asdict()
 
 
@@ -278,7 +282,7 @@ class TestSweepCommand:
         out = tmp_path / "rt"
         assert main(["sweep", "--config", "experiment_500km", "--out", str(out)]) == 0
         cfg = load_sweep_config(bundled_config_path("experiment_500km"))
-        assert read_sweep_csv(out / "records.csv") == run_sweep(cfg)
+        assert read_records_csv(out / "records.csv") == sweep_records(cfg)
 
     @pytest.mark.parametrize("name", ["experiment_500km", "experiment_300km"])
     def test_bundled_records_csv_match_golden_hashes(self, capsys, tmp_path, name):
@@ -326,7 +330,7 @@ class TestSweepCommand:
         cfg_file.write_text(RESONANT_CONFIG)
         out = tmp_path / "res"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
-        rows = read_sweep_csv(out / "records.csv")
+        rows = read_records_csv(out / "records.csv")
         singular = [r for r in rows if r[7]]
         assert [r[0] for r in singular] == [75.0]
         _, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = singular[0]
@@ -340,7 +344,7 @@ class TestSweepCommand:
         out = tmp_path / "res"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
                      "--format", "json", "--plot-data"]) == 0
-        rows = read_sweep_csv(out / "records.csv")
+        rows = read_records_csv(out / "records.csv")
         records = json.loads((out / "records.json").read_text())
         assert all(list(r) == list(CSV_FIELDS) for r in records)
         assert [tuple(r.values()) for r in records] == rows
@@ -374,6 +378,18 @@ class TestSweepCommand:
                          id="n_points-5001-digits"),
             pytest.param("model = lossless", f"model = pi-cascade({TOO_MANY_DIGITS})",
                          id="pi_sections-5001-digits"),
+            # text configparser reads, or cannot: names and lines are echoed
+            # cut short, on one line
+            pytest.param("length = 500 km", f"length = 500 km\n{LONG_NAME} = 1",
+                         id="unknown-key-3000-characters"),
+            pytest.param("[source]", f"[{LONG_NAME}]\nx = 1\n\n[source]",
+                         id="unknown-section-3000-characters"),
+            pytest.param("length = 500 km", f"length = 500 km\n{LONG_NAME} = 1\n{LONG_NAME} = 2",
+                         id="duplicate-key-3000-characters"),
+            pytest.param("[line]", f"{LONG_NAME}\n[line]", id="line-before-first-header"),
+            pytest.param("[source]", "[source]\njunk without equals", id="line-without-equals"),
+            pytest.param("[source]", "[source]\n  indented continuation",
+                         id="indented-line-after-header"),
         ],
     )
     def test_non_finite_input_exits_2_without_output(self, capsys, tmp_path, old, new):
@@ -459,7 +475,7 @@ class TestSweepCommand:
         cfg_file.write_text(text.replace("n_points = 951", "n_points = 2"))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
-        assert [row[0] for row in read_sweep_csv(out / "records.csv")] == [50.0, 1000.0]
+        assert [row[0] for row in read_records_csv(out / "records.csv")] == [50.0, 1000.0]
         assert json.loads((out / "dips.json").read_text()) == []
         assert "tuning dips: 0 matched, 0 unmatched" in capsys.readouterr().out
 
@@ -512,7 +528,7 @@ class TestSweepStreaming:
                      "--format", "json", "--plot-data"]) == 0
 
         cfg = load_sweep_config(path)
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         expected = {
             "records.csv": records_csv_per_cell(records),
             "records.json": records_json_by_encoder(records),
@@ -543,7 +559,7 @@ class TestSweepStreaming:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
 
         cfg = load_sweep_config(config)
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         assert records[position].f_hz == f_center
         assert records[position].singular == (f_center == 75.0)
         dips = reference_tuning_dips(records, cfg.length, cfg.line.velocity)

@@ -16,7 +16,6 @@ from tunedline.reporting import (
     PLOT_QUANTITIES,
     RecordWriter,
     open_atomic,
-    read_sweep_csv,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -161,19 +160,3 @@ def test_open_atomic_removes_partial_on_error(tmp_path, error):
     assert path.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "f_hz,p_r_mw\n",
-        f"{CSV_HEADER}\n50,1,2,3,220,220,0\n",
-        f"{CSV_HEADER}\n50,1,2,3,220,220,0,maybe\n",
-        f"{CSV_HEADER}\n75,,,,220,,,True\n",
-        f"{CSV_HEADER}\n50,1,2,3,220,x,0,false\n",
-    ],
-)
-def test_read_sweep_csv_rejects_malformed_text(tmp_path, text):
-    path = tmp_path / "records.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match="records.csv"):
-        read_sweep_csv(path)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_tuning_dips
+from conftest import reference_tuning_dips, sweep_records, window_dips
 from tunedline import (
     RECIPROCITY_TOL,
     Frequency,
@@ -23,10 +23,8 @@ from tunedline import (
     abcd_lossless,
     complex_power_accounting,
     default_line,
-    detect_tuning_dips,
     nominal_pi,
     pi_cascade_oracle,
-    run_sweep,
     solve_receiving_end,
     sweep_points,
     wave_quantities,
@@ -128,29 +126,29 @@ class TestSweepConfig:
 
 class TestRunSweep:
     def test_two_point_sweep(self):
-        records = run_sweep(experiment_config(500.0, n_points=2))
+        records = sweep_records(experiment_config(500.0, n_points=2))
         assert [r.f_hz for r in records] == [50.0, 1000.0]
         assert not any(r.singular for r in records)
 
     def test_records_ascending_and_complete(self):
-        records = run_sweep(experiment_config(500.0))
+        records = sweep_records(experiment_config(500.0))
         assert len(records) == 951
         assert all(a.f_hz < b.f_hz for a, b in zip(records, records[1:]))
 
     def test_deterministic(self):
         cfg = experiment_config(500.0)
-        assert run_sweep(cfg) == run_sweep(cfg)
+        assert sweep_records(cfg) == sweep_records(cfg)
 
     def test_exact_model_agrees_with_lossless(self):
-        lossless = run_sweep(experiment_config(500.0, n_points=20))
-        exact = run_sweep(experiment_config(500.0, n_points=20, model="exact"))
+        lossless = sweep_records(experiment_config(500.0, n_points=20))
+        exact = sweep_records(experiment_config(500.0, n_points=20, model="exact"))
         for a, b in zip(lossless, exact):
             assert b.p_r_mw == pytest.approx(a.p_r_mw, rel=1e-9)
             # abs 3e-9 MVAr three-phase is 1e-3 VAr per phase
             assert b.q_line_mvar == pytest.approx(a.q_line_mvar, rel=1e-9, abs=3e-9)
 
     def test_pi_cascade_model_runs(self):
-        records = run_sweep(
+        records = sweep_records(
             experiment_config(500.0, n_points=5, model="pi-cascade", pi_sections=200)
         )
         assert len(records) == 5
@@ -166,7 +164,7 @@ class TestRunSweep:
             f_end=76.0,
             n_points=3,
         )
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         assert [r.singular for r in records] == [False, True, False]
         bad = records[1]
         assert bad.f_hz == 75.0
@@ -178,7 +176,7 @@ class TestRunSweep:
         from tunedline import complex_power_accounting, solve_receiving_end
 
         cfg = experiment_config(500.0, n_points=20)
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         probe = records[7]
         freq = Frequency(probe.f_hz)
         state = solve_receiving_end(
@@ -204,8 +202,8 @@ def lossy_tuning_frequency(line: LineParameters, length: float, n: int) -> float
 
 class TestDetectTuningDips:
     def test_500km_dips_match_first_three_harmonics(self):
-        records = run_sweep(experiment_config(500.0))
-        dips = detect_tuning_dips(records, 500.0, 3e5)
+        records = sweep_records(experiment_config(500.0))
+        dips = window_dips(records, 500.0, 3e5)
         matched = {d.n_matched: d for d in dips if d.n_matched > 0}
         assert sorted(matched) == [1, 2, 3]
         assert matched[1].f_detected == pytest.approx(300.0, abs=1.0)
@@ -213,8 +211,8 @@ class TestDetectTuningDips:
         assert matched[3].f_detected == pytest.approx(900.0, abs=1.0)
 
     def test_300km_dips_include_sweep_edge(self):
-        records = run_sweep(experiment_config(300.0))
-        dips = detect_tuning_dips(records, 300.0, 3e5)
+        records = sweep_records(experiment_config(300.0))
+        dips = window_dips(records, 300.0, 3e5)
         matched = {d.n_matched: d for d in dips if d.n_matched > 0}
         assert sorted(matched) == [1, 2]
         assert matched[1].f_detected == pytest.approx(500.0, abs=1.0)
@@ -227,9 +225,9 @@ class TestDetectTuningDips:
         line = cfg.line._replace(r=0.03, g=5e-9)
         cfg = cfg._replace(line=line, model="exact")
         assert cfg.n_points == 951
-        records = run_sweep(cfg)
+        records = sweep_records(cfg)
         step = records[1].f_hz - records[0].f_hz
-        dips = detect_tuning_dips(records, cfg.length, line.velocity)
+        dips = window_dips(records, cfg.length, line.velocity)
         matched = {d.n_matched: d.f_detected for d in dips if d.n_matched > 0}
         assert sorted(matched) == [1, 2, 3]
         for n, f_detected in matched.items():
@@ -240,8 +238,8 @@ class TestDetectTuningDips:
         # q_line = Qs - Qr also crosses zero between harmonics (for example
         # where the load happens to present the surge impedance); those dips
         # are genuine minima but lie far from every harmonic
-        records = run_sweep(experiment_config(500.0))
-        dips = detect_tuning_dips(records, 500.0, 3e5)
+        records = sweep_records(experiment_config(500.0))
+        dips = window_dips(records, 500.0, 3e5)
         unmatched = [d for d in dips if d.n_matched == 0]
         assert unmatched
         for d in unmatched:
@@ -249,32 +247,32 @@ class TestDetectTuningDips:
             assert min(distances) > 2.0
 
     def test_delta_v_small_at_matched_dips(self):
-        records = run_sweep(experiment_config(500.0))
+        records = sweep_records(experiment_config(500.0))
         by_f = {r.f_hz: r for r in records}
-        for d in detect_tuning_dips(records, 500.0, 3e5):
+        for d in window_dips(records, 500.0, 3e5):
             if d.n_matched > 0:
                 assert abs(by_f[d.f_detected].delta_v) < 1e-3
 
     def test_dips_below_inter_harmonic_midpoints(self):
-        records = run_sweep(experiment_config(500.0))
+        records = sweep_records(experiment_config(500.0))
         by_f = {r.f_hz: r for r in records}
-        dips = {d.n_matched: d for d in detect_tuning_dips(records, 500.0, 3e5) if d.n_matched}
+        dips = {d.n_matched: d for d in window_dips(records, 500.0, 3e5) if d.n_matched}
         for n, midpoint in ((1, 450.0), (2, 750.0)):
             assert abs(dips[n].q_line_at_dip) < abs(by_f[midpoint].q_line_mvar)
             assert abs(dips[n + 1].q_line_at_dip) < abs(by_f[midpoint].q_line_mvar)
 
     def test_stable_under_grid_refinement(self):
-        coarse = run_sweep(experiment_config(500.0))
-        fine = run_sweep(experiment_config(500.0, n_points=1902))
+        coarse = sweep_records(experiment_config(500.0))
+        fine = sweep_records(experiment_config(500.0, n_points=1902))
         coarse_step = coarse[1].f_hz - coarse[0].f_hz
         coarse_matched = {
             d.n_matched: d.f_detected
-            for d in detect_tuning_dips(coarse, 500.0, 3e5)
+            for d in window_dips(coarse, 500.0, 3e5)
             if d.n_matched
         }
         fine_matched = {
             d.n_matched: d.f_detected
-            for d in detect_tuning_dips(fine, 500.0, 3e5)
+            for d in window_dips(fine, 500.0, 3e5)
             if d.n_matched
         }
         assert set(fine_matched) == set(coarse_matched)
@@ -295,16 +293,15 @@ class TestDetectTuningDips:
             )
             for f in range(50, 60)
         ]
-        assert detect_tuning_dips(records, 500.0, 3e5) == []
+        assert window_dips(records, 500.0, 3e5) == []
 
     def test_requires_three_usable_records(self):
-        records = run_sweep(experiment_config(500.0, n_points=4))
+        records = sweep_records(experiment_config(500.0, n_points=4))
         crippled = records[:2]
-        with pytest.raises(ValueError):
-            detect_tuning_dips(crippled, 500.0, 3e5)
+        assert window_dips(crippled, 500.0, 3e5) == []
 
     def test_neighbors_of_singular_points_are_skipped(self):
-        good = run_sweep(experiment_config(500.0, f_start=290.0, f_end=310.0, n_points=21))
+        good = sweep_records(experiment_config(500.0, f_start=290.0, f_end=310.0, n_points=21))
         # knock out the record next to the dip: the dip at 300 survives,
         # but a minimum adjacent to the gap must not be invented
         records = [
@@ -313,7 +310,7 @@ class TestDetectTuningDips:
             else r
             for r in good
         ]
-        dips = detect_tuning_dips(records, 500.0, 3e5)
+        dips = window_dips(records, 500.0, 3e5)
         assert all(d.f_detected != 294.0 and d.f_detected != 296.0 for d in dips)
         assert any(d.n_matched == 1 and d.f_detected == 300.0 for d in dips)
 
@@ -354,18 +351,38 @@ def test_property_dip_window_equals_whole_list_detection(case):
     usable = sum(not r.singular for r in records)
     assert window.usable == usable
     if usable < 3:
-        with pytest.raises(ValueError):
-            window.close()
+        assert window.close() == []
     else:
         assert window.close() == reference_tuning_dips(records, 500.0, 3e5)
 
 
+@pytest.mark.parametrize("layout", ["", "s", "u", "us", "su", "uu", "uus", "suu", "usu", "susus"])
+@pytest.mark.parametrize("chunk", [1, 2, 4])
+def test_fewer_than_three_usable_records_give_no_dips(layout, chunk):
+    # u: a usable record, s: a singular one.  |q_line_mvar| rises with f, so
+    # a lone usable record, or a usable first record with a usable right
+    # neighbour, is an edge dip by the other rules; the count alone must
+    # suppress it
+    records = [
+        SweepRecord(300.0 + i, None, None, None, 1.0, None, None, True) if kind == "s"
+        else SweepRecord(300.0 + i, 1.0, 0.0, 1.0 + i, 1.0, 1.0, 0.0, False)
+        for i, kind in enumerate(layout)
+    ]
+    if layout.startswith("uu"):
+        assert reference_tuning_dips(records, 500.0, 3e5)
+    window = TuningDipWindow(500.0, 3e5)
+    for start in range(0, len(records), chunk):
+        window.extend(records[start:start + chunk])
+    assert window.usable == layout.count("u")
+    assert window.close() == []
+
+
 @pytest.mark.parametrize("length, harmonics", [(500.0, [1, 2, 3]), (300.0, [1, 2])])
 def test_dip_window_in_chunks_equals_whole_list_detection(length, harmonics):
-    records = run_sweep(experiment_config(length))
+    records = sweep_records(experiment_config(length))
     expected = reference_tuning_dips(records, length, 3e5)
     assert [d.n_matched for d in expected if d.n_matched] == harmonics
-    assert detect_tuning_dips(records, length, 3e5) == expected
+    assert window_dips(records, length, 3e5) == expected
     for size in (1, 2, 3, 7, 250):
         window = TuningDipWindow(length, 3e5)
         for start in range(0, len(records), size):
@@ -458,7 +475,7 @@ def sweep_configs(draw) -> SweepConfig:
 ))
 @settings(max_examples=300, deadline=None)
 def test_property_fused_loop_is_bit_identical_to_scalar_oracle(cfg):
-    records = run_sweep(cfg)
+    records = sweep_records(cfg)
     assert len(records) == cfg.n_points
     for rec, f in zip(records, cfg.grid()):
         # == on floats: the loop must reproduce the oracle bit for bit,
@@ -675,7 +692,7 @@ def test_stopband_pi_cascade_rows_match_rational_chain(sections):
     )
     product = pi_cascade_oracle(line, 2000.0, Frequency(2500.0), sections)
     assert product.reciprocity_defect() > 1e6 * RECIPROCITY_TOL
-    for rec in run_sweep(cfg):
+    for rec in sweep_records(cfg):
         assert not rec.singular
         p_r, q_r, q_line, vr_mag, delta_v, apparent = rational_chain_record(cfg, rec.f_hz)
         # the references in the records' units, converted as the sweep converts
