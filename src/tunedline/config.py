@@ -293,9 +293,18 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_sweep_config(text, origin=str(path))
+
+
+def _is_file(path: Path) -> bool:
+    """path.is_file(), False also for a path the OS refuses to look up
+    (a file name longer than its limit, say)."""
+    try:
+        return path.is_file()
+    except OSError:
+        return False
 
 
 def bundled_config_names() -> list[str]:
@@ -307,9 +316,9 @@ def bundled_config_path(name: str) -> Path:
     """Filesystem path of a bundled config, by name or filename."""
     filename = name if name.endswith(".ini") else name + ".ini"
     candidate = Path(__file__).parent / "configs" / filename
-    if not candidate.is_file():
+    if not _is_file(candidate):
         raise ConfigError(
-            f"no bundled config named {name!r} (available: "
+            f"no bundled config named {_quoted(name)} (available: "
             f"{', '.join(bundled_config_names())})"
         )
     return candidate
@@ -318,12 +327,12 @@ def bundled_config_path(name: str) -> Path:
 def resolve_config_arg(value: str) -> Path:
     """Interpret a --config argument: a filesystem path, else a bundled name."""
     path = Path(value)
-    if path.is_file():
+    if _is_file(path):
         return path
     try:
         return bundled_config_path(value)
     except ConfigError:
         raise ConfigError(
-            f"config {value!r} is neither a file nor a bundled config name "
+            f"config {_quoted(value)} is neither a file nor a bundled config name "
             f"(bundled: {', '.join(bundled_config_names())})"
         ) from None

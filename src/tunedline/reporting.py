@@ -23,9 +23,11 @@ line per non-singular row.
 `RecordWriter` is the one renderer of records.csv, records.json and the
 plot files.  It streams them into open files a chunk of records at a
 time and gives the same bytes however the records are chunked, so the
-`sweep` command never holds more than one chunk.  All records of a sweep
-share one vs_kv float object, and the writer formats that cell once per
-run of records holding the same object.
+`sweep` command never holds more than one chunk.  Its contract is the
+records of one sweep, as `sweep_points` gives them: every record holds
+the same vs_kv float and only finite cells (None in a singular row's
+empty cells).  It formats vs_kv once per chunk, from the chunk's first
+record, and every other cell with one %-template per row.
 
 Every file is written through one atomic writer, `open_atomic`: a
 context manager that yields the handle of a `<name>.partial` sibling,
@@ -39,14 +41,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import time
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from io import TextIOBase
-from itertools import compress
-from operator import is_not, itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -70,7 +69,7 @@ PLOT_QUANTITIES = CSV_FIELDS[1:4]
 
 # Row templates filled in two steps.  `_ROW % (vs_kv,)` formats the vs_kv
 # cell and turns every escaped %% into %, which leaves the template of
-# each row of a run that shares that vs_kv; the rows fill the rest.
+# each row of the sweep; the rows fill the rest.
 _ROW = "%%.17g,%%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g,false\n"
 _SINGULAR_ROW = "%%.17g,,,,%.17g,,,true\n"
 
@@ -85,44 +84,13 @@ _JSON_ROW, _JSON_SINGULAR_ROW = (
 )
 
 
-def _vs_runs(records: Sequence[tuple]) -> list[tuple[float, Sequence[tuple]]]:
-    """records split into maximal runs that hold one vs_kv float object,
-    as (vs_kv, run) pairs.
-
-    Identity, not ==, splits them: 0.0 == -0.0 but the two print
-    differently, and nan equals nothing.  Every record of one sweep holds
-    the loop's single vs_kv, so a chunk of a sweep is one run.
-    """
-    cells = list(map(itemgetter(4), records))
-    starts = [0, *compress(range(1, len(cells)), map(is_not, cells[1:], cells)), len(cells)]
-    return [(cells[a], records[a:b]) for a, b in zip(starts, starts[1:])]
-
-
-def _json_elements(vs_kv: float, run: Sequence[tuple]) -> list[str]:
-    """The records.json array elements of a run of records sharing vs_kv.
-
-    One template substitution per record instead of a pass through the
-    pure-Python encoder that indent=2 selects.  A record with a nan or
-    infinite cell goes through the encoder: %r would write nan/inf where
-    JSON has NaN/Infinity ([2:-2] drops the "[\n" and "\n]" of its
-    one-element array).
-    """
-    row, singular_row = _JSON_ROW % (vs_kv,), _JSON_SINGULAR_ROW % (vs_kv,)
-    vs_finite = math.isfinite(vs_kv)
-    elements = []
-    for record in run:
-        f, p_r, q_r, q_line, _, vr_kv, delta_v, singular = record
-        template, cells = (
-            (singular_row, (f,)) if singular else (row, (f, p_r, q_r, q_line, vr_kv, delta_v))
-        )
-        # the sum is finite only if every cell is (math.fsum would raise
-        # on inf + -inf); a finite row whose sum overflows takes the
-        # encoder's path, which writes the same bytes
-        if vs_finite and math.isfinite(sum(cells)):
-            elements.append(template % cells)
-        else:
-            elements.append(json.dumps([dict(zip(CSV_FIELDS, record))], indent=2)[2:-2])
-    return elements
+def _rows(row: str, singular_row: str, records: Sequence[tuple]) -> list[str]:
+    """row, or singular_row for a singular record, filled from each
+    record's cells other than vs_kv."""
+    return [
+        singular_row % (f,) if singular else row % (f, p_r, q_r, q_line, vr_kv, delta_v)
+        for f, p_r, q_r, q_line, _, vr_kv, delta_v, singular in records
+    ]
 
 
 class RecordWriter:
@@ -135,6 +103,12 @@ class RecordWriter:
     `close` ends records.json.  The bytes do not depend on how the
     records were chunked.  This is the only code that writes these
     files' heads, separators and tails.
+
+    The records must be one sweep's: one vs_kv value throughout and
+    finite cells, which `sweep_points` guarantees.  Hand-made rows that
+    break this are not supported: a chunk's rows all get its first
+    record's vs_kv cell, and a nan or infinite cell comes out as nan or
+    inf, which is not JSON.
     """
 
     def __init__(self, csv: TextIOBase, records_json: TextIOBase | None = None,
@@ -146,25 +120,17 @@ class RecordWriter:
             fh.write(f"# f_hz {quantity}\n")
 
     def write(self, records: Sequence[tuple]) -> None:
-        """Append one chunk of records to every open file.
-
-        The vs_kv cell is formatted once for each run of records that hold
-        the same float object (see `_vs_runs`).
-        """
+        """Append one chunk of records to every open file; the vs_kv cell
+        is formatted once, from the first record."""
         if not records:
             return
-        lines, elements = [], []
-        for vs_kv, run in _vs_runs(records):
-            row, singular_row = _ROW % (vs_kv,), _SINGULAR_ROW % (vs_kv,)
-            lines += [
-                singular_row % (f,) if singular else row % (f, p_r, q_r, q_line, vr_kv, delta_v)
-                for f, p_r, q_r, q_line, _, vr_kv, delta_v, singular in run
-            ]
-            if self._json is not None:
-                elements += _json_elements(vs_kv, run)
-        csv_lines = "".join(lines)
+        vs_kv = records[0][4]
+        csv_lines = "".join(_rows(_ROW % (vs_kv,), _SINGULAR_ROW % (vs_kv,), records))
         self._csv.write(csv_lines)
         if self._json is not None:
+            # one template substitution per record, not a pass through the
+            # pure-Python encoder that indent=2 selects
+            elements = _rows(_JSON_ROW % (vs_kv,), _JSON_SINGULAR_ROW % (vs_kv,), records)
             self._json.write(self._json_separator + ",\n".join(elements))
             self._json_separator = ",\n"
         if self._plots:

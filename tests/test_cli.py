@@ -407,6 +407,38 @@ class TestSweepCommand:
             assert len(captured.err) < len(f"error: {cfg_file}: ") + 150
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        # one name past the file-name limit, and a path of short components
+        [LONG_NAME, "a/" * 1497 + "xx.ini"],
+        ids=["name-3000-characters", "path-3000-characters"],
+    )
+    def test_overlong_config_argument_exits_2_without_output(self, capsys, tmp_path, config):
+        assert len(config) == 3000
+        out = tmp_path / "out"
+        for argv in (["sweep", "--out", str(out)], ["solve", "--frequency", "300"]):
+            assert main([*argv, "--config", config]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: config ")
+            assert captured.err.count("\n") == 1
+            assert len(captured.err.encode()) < 200
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_2_naming_the_file(self, capsys, tmp_path):
+        cfg_file = tmp_path / "bom.ini"
+        cfg_file.write_bytes(b"\xff\xfe" + bundled_config_path("experiment_500km").read_bytes())
+        out = tmp_path / "out"
+        for argv in (["sweep", "--out", str(out)], ["solve", "--frequency", "300"]):
+            assert main([*argv, "--config", str(cfg_file)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert str(cfg_file) in captured.err
+            assert captured.err.count("\n") == 1
+            assert len(captured.err) < len(f"error: {cfg_file}: ") + 150
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, frequency", OVERFLOW_CASES)
     def test_overflow_exits_2_without_output(self, capsys, tmp_path, text, frequency):
         cfg_file = tmp_path / "stopband.ini"

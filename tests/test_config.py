@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -184,6 +185,22 @@ def test_resolve_config_arg(tmp_path):
 def test_load_missing_file():
     with pytest.raises(ConfigError):
         load_sweep_config("/nonexistent/path/config.ini")
+
+
+def test_load_non_utf8_file_names_it(tmp_path):
+    path = tmp_path / "bom.ini"
+    path.write_bytes(b"\xff\xfe" + GOOD.encode())
+    with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(path))}: "):
+        load_sweep_config(path)
+
+
+@pytest.mark.parametrize("value", ["x" * 3000, "a/" * 1497 + "xx.ini"],
+                         ids=["name-3000-characters", "path-3000-characters"])
+def test_resolve_overlong_config_arg_is_cut_short(value):
+    # a name past the file-name limit is no file, not an OSError
+    with pytest.raises(ConfigError) as excinfo:
+        resolve_config_arg(value)
+    assert str(excinfo.value).startswith(f"config {value[:20]!r}... (3000 characters) is neither ")
 
 
 LONG = "9" * 5000 + "x"  # 5001 characters that read as no number, int or model

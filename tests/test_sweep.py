@@ -29,6 +29,7 @@ from tunedline import (
     sweep_points,
     wave_quantities,
 )
+from tunedline.cli import CHUNK_POINTS
 from tunedline.config import bundled_config_path, load_sweep_config
 from tunedline.sweep import _chain_plan, _pi_cascade
 
@@ -621,6 +622,22 @@ def test_singular_record_carries_f_hz_and_vs_kv_only():
     # one vs_kv float object for the whole sweep, which the writer formats once
     assert not plain.singular
     assert singular.vs_kv is plain.vs_kv
+
+
+def test_sweep_past_one_chunk_shares_vs_kv_and_finite_cells():
+    # what RecordWriter relies on, across the first chunk boundary: one
+    # vs_kv float object for the whole sweep and finite cells in every
+    # non-singular record.  The grid step is 50 Hz / (2 * CHUNK_POINTS),
+    # so the resonant 75 Hz is the first point of the second chunk.
+    n_points = 2 * CHUNK_POINTS + 1
+    cfg = experiment_config(500.0, load=LoadSpec(0.0, C_RESONANT_75HZ),
+                            f_start=50.0, f_end=100.0, n_points=n_points)
+    records = sweep_records(cfg)
+    assert len(records) == n_points
+    assert [(i, r.f_hz) for i, r in enumerate(records) if r.singular] == [(CHUNK_POINTS, 75.0)]
+    vs_kv = records[0].vs_kv
+    assert all(r.vs_kv is vs_kv for r in records)
+    assert all(math.isfinite(x) for r in records if not r.singular for x in r[:7])
 
 
 # --- stopband pi-cascade rows against an exact rational chain --------------
