@@ -313,15 +313,18 @@ def bundled_config_names() -> list[str]:
 
 
 def bundled_config_path(name: str) -> Path:
-    """Filesystem path of a bundled config, by name or filename."""
-    filename = name if name.endswith(".ini") else name + ".ini"
-    candidate = Path(__file__).parent / "configs" / filename
-    if not _is_file(candidate):
+    """Filesystem path of a bundled config, by name or filename.
+
+    Only a name from `bundled_config_names()`, with or without `.ini`,
+    is accepted; a path (anything holding a separator) is not a name.
+    """
+    stem = name.removesuffix(".ini")
+    if stem not in bundled_config_names():
         raise ConfigError(
             f"no bundled config named {_quoted(name)} (available: "
             f"{', '.join(bundled_config_names())})"
         )
-    return candidate
+    return Path(__file__).parent / "configs" / f"{stem}.ini"
 
 
 def resolve_config_arg(value: str) -> Path:

@@ -15,9 +15,11 @@ reproduces the written values exactly.  Singular rows keep f_hz, vs_kv
 and the flag and leave the other cells empty.
 
 records.json holds the same rows as an indent-2 JSON array of objects
-keyed by the CSV header, with shortest-repr floats (`float.__repr__`, as
-`json.dumps` writes them) and null for the empty cells.  The plot files
-are `f_hz value` pairs that reuse the CSV's 17-digit cells verbatim, one
+keyed by the CSV header, laid out as `json.dumps(..., indent=2)` lays
+it out, with null for the empty cells.  Its numbers are the CSV's
+17-digit cells, with `.0` appended to a cell that has neither `.` nor
+`e` (`50`, `-0`), so every number loads as the same float, signed zeros
+included.  The plot files are `f_hz value` pairs of the same cells, one
 line per non-singular row.
 
 `RecordWriter` is the one renderer of records.csv, records.json and the
@@ -26,8 +28,10 @@ time and gives the same bytes however the records are chunked, so the
 `sweep` command never holds more than one chunk.  Its contract is the
 records of one sweep, as `sweep_points` gives them: every record holds
 the same vs_kv float and only finite cells (None in a singular row's
-empty cells).  It formats vs_kv once per chunk, from the chunk's first
-record, and every other cell with one %-template per row.
+empty cells).  It formats each float once, into the records.csv row:
+vs_kv once per chunk, from the chunk's first record, and every other
+cell with one %-template per row.  records.json and the plot files are
+cut from those rows, with one split into cells per row that both share.
 
 Every file is written through one atomic writer, `open_atomic`: a
 context manager that yields the handle of a `<name>.partial` sibling,
@@ -74,23 +78,21 @@ _ROW = "%%.17g,%%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g,false\n"
 _SINGULAR_ROW = "%%.17g,,,,%.17g,,,true\n"
 
 # records.json array elements, laid out as json.dumps(..., indent=2) lays
-# them out; %r is float.__repr__, the call the JSON encoder makes.
+# them out, filled with the JSON spellings of the CSV cells.
 _JSON_ROW, _JSON_SINGULAR_ROW = (
     "  {\n" + ",\n".join(f'    "{key}": {cell}' for key, cell in zip(CSV_FIELDS, cells)) + "\n  }"
     for cells in (
-        ["%%r"] * 4 + ["%r", "%%r", "%%r", "false"],
-        ["%%r", "null", "null", "null", "%r", "null", "null", "true"],
+        ["%s"] * 7 + ["false"],
+        ["%s", "null", "null", "null", "%s", "null", "null", "true"],
     )
 )
 
 
-def _rows(row: str, singular_row: str, records: Sequence[tuple]) -> list[str]:
-    """row, or singular_row for a singular record, filled from each
-    record's cells other than vs_kv."""
-    return [
-        singular_row % (f,) if singular else row % (f, p_r, q_r, q_line, vr_kv, delta_v)
-        for f, p_r, q_r, q_line, _, vr_kv, delta_v, singular in records
-    ]
+def _json_number(cell: str) -> str:
+    """A CSV cell as a JSON number that loads as the same float: `.0` is
+    appended to a cell with neither `.` nor `e`, which would load as an
+    int (and `-0` as the int 0)."""
+    return cell if "." in cell or "e" in cell else cell + ".0"
 
 
 class RecordWriter:
@@ -102,7 +104,9 @@ class RecordWriter:
     of records (8-tuples in CSV_FIELDS order, such as SweepRecords), and
     `close` ends records.json.  The bytes do not depend on how the
     records were chunked.  This is the only code that writes these
-    files' heads, separators and tails.
+    files' heads, separators and tails.  Each float is formatted once,
+    into its records.csv row; records.json and the plot files are cut
+    from that row's cells.
 
     The records must be one sweep's: one vs_kv value throughout and
     finite cells, which `sweep_points` guarantees.  Hand-made rows that
@@ -125,22 +129,29 @@ class RecordWriter:
         if not records:
             return
         vs_kv = records[0][4]
-        csv_lines = "".join(_rows(_ROW % (vs_kv,), _SINGULAR_ROW % (vs_kv,), records))
-        self._csv.write(csv_lines)
+        row, singular_row = _ROW % (vs_kv,), _SINGULAR_ROW % (vs_kv,)
+        csv_rows = [
+            singular_row % (f,) if singular else row % (f, p_r, q_r, q_line, vr_kv, delta_v)
+            for f, p_r, q_r, q_line, _, vr_kv, delta_v, singular in records
+        ]
+        self._csv.write("".join(csv_rows))
+        if self._json is None and not self._plots:
+            return
+        # records.json and the plot files reuse the CSV cells, so no float
+        # is formatted twice; a singular row's p_r_mw cell is empty
+        cells = [csv_row.split(",") for csv_row in csv_rows]
         if self._json is not None:
-            # one template substitution per record, not a pass through the
-            # pure-Python encoder that indent=2 selects
-            elements = _rows(_JSON_ROW % (vs_kv,), _JSON_SINGULAR_ROW % (vs_kv,), records)
+            elements = [
+                _JSON_ROW % tuple(map(_json_number, c[:7])) if c[1]
+                else _JSON_SINGULAR_ROW % (_json_number(c[0]), _json_number(c[4]))
+                for c in cells
+            ]
             self._json.write(self._json_separator + ",\n".join(elements))
             self._json_separator = ",\n"
         if self._plots:
-            # "f_hz value" lines from the CSV's %.17g cells, so no float is
-            # formatted twice; singular rows, whose p_r_mw cell is empty,
-            # are left out
-            cells = [line.split(",", 4) for line in csv_lines.splitlines()]
-            cells = [c for c in cells if c[1]]
+            plotted = [c for c in cells if c[1]]
             for column, fh in enumerate(self._plots, 1):
-                fh.write("".join([f"{c[0]} {c[column]}\n" for c in cells]))
+                fh.write("".join([f"{c[0]} {c[column]}\n" for c in plotted]))
 
     def close(self) -> None:
         """Write the records.json tail; call once, after the last write."""

@@ -4,6 +4,7 @@ and its dips as lists, reference dips, and record-file oracles."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from tunedline import (
@@ -106,9 +107,25 @@ def records_csv_per_cell(rows: list[tuple]) -> str:
     return "".join(f"{line}\n" for line in [CSV_HEADER, *map(per_cell_line, rows)])
 
 
-def records_json_by_encoder(rows: list[tuple]) -> str:
-    """records.json as the JSON encoder writes it."""
-    return json.dumps([dict(zip(CSV_FIELDS, row)) for row in rows], indent=2) + "\n"
+def json_number_per_cell(value: float) -> str:
+    """format(value, '.17g'), with .0 appended when it has neither . nor e."""
+    cell = format(value, ".17g")
+    return cell if "." in cell or "e" in cell else cell + ".0"
+
+
+def records_json_per_cell(rows: list[tuple]) -> str:
+    """records.json in the layout json.dumps(..., indent=2) gives the rows,
+    each float spelled by json_number_per_cell.
+
+    The encoder lays out the objects with every float replaced by a string
+    marked with a NUL; the marked strings are then unquoted.
+    """
+    objects = [
+        {key: "\0" + json_number_per_cell(v) if isinstance(v, float) else v
+         for key, v in zip(CSV_FIELDS, row)}
+        for row in rows
+    ]
+    return re.sub(r'"\\u0000([^"]*)"', r"\1", json.dumps(objects, indent=2)) + "\n"
 
 
 def read_records_csv(path) -> list:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import (
     plot_data_per_cell,
     records_csv_per_cell,
-    records_json_by_encoder,
+    records_json_per_cell,
     read_records_csv,
     reference_tuning_dips,
     sweep_records,
@@ -222,6 +222,17 @@ class TestSolveCommand:
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["solve", "--config", "nope.ini", "--frequency", "50"]) == 2
+
+    def test_path_beside_an_ini_file_is_not_a_bundled_name(self, capsys, tmp_path):
+        # only <dir>/alt.ini exists, so <dir>/alt is neither a file nor a bundled name
+        (tmp_path / "alt.ini").write_text(bundled_config_path("experiment_300km").read_text())
+        config = str(tmp_path / "alt")
+        assert main(["solve", "--config", config, "--frequency", "300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config ")
+        assert "is neither a file nor a bundled config name" in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("frequency", ["0", "-5", "nan", "inf"])
     def test_bad_frequency_exits_2(self, capsys, frequency):
@@ -563,7 +574,7 @@ class TestSweepStreaming:
         records = sweep_records(cfg)
         expected = {
             "records.csv": records_csv_per_cell(records),
-            "records.json": records_json_by_encoder(records),
+            "records.json": records_json_per_cell(records),
             "dips.json": dips_report_json(
                 reference_tuning_dips(records, cfg.length, cfg.line.velocity)
             ),

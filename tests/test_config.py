@@ -182,6 +182,17 @@ def test_resolve_config_arg(tmp_path):
         resolve_config_arg("no_such_config_anywhere")
 
 
+def test_bundled_config_path_takes_only_a_name(tmp_path):
+    assert bundled_config_path("experiment_500km.ini") == bundled_config_path("experiment_500km")
+    (tmp_path / "alt.ini").write_text(GOOD)
+    configs = bundled_config_path("experiment_500km").parent
+    # paths that name an existing .ini file are still not bundled names
+    for value in [str(tmp_path / "alt"), str(tmp_path / "alt.ini"), str(configs / "experiment_500km"),
+                  "../configs/experiment_500km", "configs/experiment_500km.ini", "", ".ini"]:
+        with pytest.raises(ConfigError, match="^no bundled config named "):
+            bundled_config_path(value)
+
+
 def test_load_missing_file():
     with pytest.raises(ConfigError):
         load_sweep_config("/nonexistent/path/config.ini")

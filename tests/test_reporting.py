@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import io
+import json
+import math
+import re
 
 import pytest
-from conftest import plot_data_per_cell, records_csv_per_cell, records_json_by_encoder
+from conftest import plot_data_per_cell, records_csv_per_cell, records_json_per_cell
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -88,9 +91,47 @@ def test_record_writer_chunks_equal_whole_list_formatters(rows, cuts):
     # rows split at the cuts give the bytes the whole-list oracles give for all rows
     csv_text, json_text, plot_texts = write_records(rows, cuts)
     assert csv_text == records_csv_per_cell(rows)
-    assert json_text == records_json_by_encoder(rows)
+    assert json_text == records_json_per_cell(rows)
     plot_data = plot_data_per_cell(rows)
     assert plot_texts == [plot_data[q] for q in PLOT_QUANTITIES]
+
+
+def _every_cell(value: float) -> list[tuple]:
+    """One plain and one singular row with every float cell set to value."""
+    return [(*[value] * 7, False), (value, None, None, None, value, None, None, True)]
+
+
+@given(rows=rows_strategy)
+@example(rows=_every_cell(50.0))
+@example(rows=_every_cell(-0.0))
+@example(rows=_every_cell(1e16))
+@example(rows=_every_cell(1e22))
+@example(rows=_every_cell(5e-324))
+@example(rows=_every_cell(0.1))
+@example(rows=_every_cell(1.7976931348623157e308))
+@settings(max_examples=200)
+def test_records_json_loads_as_the_rows_from_csv_cells(rows):
+    csv_text, json_text, _ = write_records(rows)
+    loaded = json.loads(json_text)
+    assert len(loaded) == len(rows)
+    for obj, row in zip(loaded, rows):
+        assert list(obj) == list(CSV_FIELDS)
+        for got, want in zip(obj.values(), row):
+            if isinstance(want, float):
+                assert type(got) is float
+                assert got == want
+                assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            else:
+                assert got is want
+    # every number token is the row's CSV cell, or that cell plus .0
+    tokens = re.findall(r'^    "\w+": (.+?),?$', json_text, re.MULTILINE)
+    csv_cells = [cell for line in csv_text.splitlines()[1:] for cell in line.split(",")]
+    assert len(tokens) == len(csv_cells) == 8 * len(rows)
+    for token, cell, value in zip(tokens, csv_cells, (v for row in rows for v in row)):
+        if isinstance(value, float):
+            assert token in (cell, cell + ".0")
+        else:
+            assert token == json.dumps(value)
 
 
 def test_open_atomic_renames_on_success(tmp_path):
