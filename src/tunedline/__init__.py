@@ -9,83 +9,17 @@ functions of `linemodel` and `powerflow` work per phase in SI units.
 # before the submodule imports: reporting reads it at import time
 __version__ = "0.1.0"
 
-from .linemodel import (
-    RECIPROCITY_TOL,
-    Frequency,
-    LineParameters,
-    TwoPort,
-    WaveQuantities,
-    abcd_exact,
-    abcd_lossless,
-    default_line,
-    nominal_pi,
-    pi_cascade_oracle,
-    wave_quantities,
-)
-from .powerflow import (
-    LoadSpec,
-    PowerResult,
-    PowerTransferInputs,
-    ResonanceError,
-    TerminalState,
-    complex_power_accounting,
-    receiving_active_power,
-    receiving_reactive_power,
-    reactive_power_tuned,
-    reactive_power_with_regulation,
-    solve_receiving_end,
-    voltage_regulation,
-)
-from .sweep import (
-    MODEL_CHOICES,
-    SweepConfig,
-    SweepRecord,
-    TuningDip,
-    TuningDipWindow,
-    sweep_points,
-)
-from .tuning import (
-    DEFAULT_VELOCITY_KM_S,
-    TuningSolution,
-    is_tuned,
-    tuned_lengths,
-    tuning_frequencies,
-)
+# the public API is each module's __all__, republished
+from . import linemodel, powerflow, sweep, tuning
+from .linemodel import *
+from .powerflow import *
+from .sweep import *
+from .tuning import *
 
 __all__ = [
     "__version__",
-    "RECIPROCITY_TOL",
-    "Frequency",
-    "LineParameters",
-    "TwoPort",
-    "WaveQuantities",
-    "abcd_exact",
-    "abcd_lossless",
-    "default_line",
-    "nominal_pi",
-    "pi_cascade_oracle",
-    "wave_quantities",
-    "LoadSpec",
-    "PowerResult",
-    "PowerTransferInputs",
-    "ResonanceError",
-    "TerminalState",
-    "complex_power_accounting",
-    "receiving_active_power",
-    "receiving_reactive_power",
-    "reactive_power_tuned",
-    "reactive_power_with_regulation",
-    "solve_receiving_end",
-    "voltage_regulation",
-    "MODEL_CHOICES",
-    "SweepConfig",
-    "SweepRecord",
-    "TuningDip",
-    "TuningDipWindow",
-    "sweep_points",
-    "DEFAULT_VELOCITY_KM_S",
-    "TuningSolution",
-    "is_tuned",
-    "tuned_lengths",
-    "tuning_frequencies",
+    *linemodel.__all__,
+    *powerflow.__all__,
+    *sweep.__all__,
+    *tuning.__all__,
 ]

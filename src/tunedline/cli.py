@@ -23,7 +23,6 @@ from .reporting import (
     build_manifest,
     dips_report_json,
     open_atomic,
-    write_text_atomic,
 )
 from .sweep import TuningDipWindow, sweep_points
 from .tuning import DEFAULT_VELOCITY_KM_S, tuned_lengths, tuning_frequencies
@@ -136,48 +135,59 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"|Vr|     = {vr_kv:.6g} kV")
         print(f"delta_v  = {delta_v:.6g}")
     if args.out:
-        write_text_atomic(args.out, report + "\n")
+        with open_atomic(args.out) as fh:
+            fh.write(report + "\n")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    """Stream the sweep to its files, CHUNK_POINTS records at a time.
+    """Stream the sweep into one output set, CHUNK_POINTS records at a time.
 
-    records.csv, records.json and the plot files are appended to through
-    open_atomic, so they appear only when every point has been solved;
-    dips.json and manifest.json follow.
+    Every file of the run is written through open_atomic as a .partial
+    sibling, and none is renamed until all are written: the records,
+    dips.json and manifest.json.  manifest.json is renamed last, so it
+    marks a complete run, and a failure before then leaves the previous
+    run's files as they were.  After the renames, the fixed-name outputs
+    this run did not write are deleted, so the directory holds one run.
     """
     cfg = load_sweep_config(resolve_config_arg(args.config))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "records.csv"
-    json_path = out_dir / "records.json" if args.format == "json" else None
-    dips_path = out_dir / "dips.json"
-    dat_paths = [out_dir / f"{q}.dat" for q in PLOT_QUANTITIES] if args.plot_data else []
+    # every fixed-name output, in the manifest's order, and whether this run writes it
+    file_set = {
+        "records.csv": True,
+        "records.json": args.format == "json",
+        "dips.json": True,
+        **{f"{q}.dat": args.plot_data for q in PLOT_QUANTITIES},
+    }
+    outputs = [out_dir / name for name, written in file_set.items() if written]
 
     records = sweep_points(cfg, cfg.grid())
     window = TuningDipWindow(cfg.length, cfg.line.velocity)
     n_records = 0
     with ExitStack() as stack:
-        writer = RecordWriter(
-            stack.enter_context(open_atomic(csv_path)),
-            stack.enter_context(open_atomic(json_path)) if json_path else None,
-            [stack.enter_context(open_atomic(path)) for path in dat_paths],
-        )
+        # entered first, so renamed last, once every other file is in place
+        manifest_file = stack.enter_context(open_atomic(out_dir / "manifest.json"))
+        csv, records_json, dips_file, *plots = [
+            stack.enter_context(open_atomic(out_dir / name)) if written else None
+            for name, written in file_set.items()
+        ]
+        writer = RecordWriter(csv, records_json, plots if args.plot_data else ())
         while chunk := list(islice(records, CHUNK_POINTS)):
             window.extend(chunk)
             writer.write(chunk)
             n_records += len(chunk)
         writer.close()
-
-    dips = window.close()
-    write_text_atomic(dips_path, dips_report_json(dips))
-    outputs = [csv_path, *([json_path] if json_path else []), dips_path, *dat_paths]
-    manifest = build_manifest(cfg, [str(path) for path in outputs])
-    write_text_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        dips = window.close()
+        dips_file.write(dips_report_json(dips))
+        manifest = build_manifest(cfg, [str(path) for path in outputs])
+        manifest_file.write(json.dumps(manifest, indent=2) + "\n")
+    for name, written in file_set.items():
+        if not written:
+            (out_dir / name).unlink(missing_ok=True)
 
     n_singular = n_records - window.usable
-    print(f"wrote {n_records} records ({n_singular} singular) to {csv_path}")
+    print(f"wrote {n_records} records ({n_singular} singular) to {outputs[0]}")
     matched = [d for d in dips if d.n_matched > 0]
     print(f"tuning dips: {len(matched)} matched, {len(dips) - len(matched)} unmatched")
     for d in matched:

@@ -12,9 +12,10 @@ magnitudes, torque angle and a single line reactance X) are provided as
 separate analytic evaluators; they take user-supplied magnitudes and are
 deliberately decoupled from the exact phasor solver.
 
-All quantities are per-phase (line-to-neutral RMS); callers scale to
-three-phase totals at the reporting layer.  Sign convention: Q > 0 means
-the element absorbs inductive VArs, so a capacitive load draws q_r < 0.
+All quantities are per-phase (line-to-neutral RMS); the sweep loop
+(`sweep.sweep_points`) is the one place that converts them to three-phase
+totals.  Sign convention: Q > 0 means the element absorbs inductive VArs,
+so a capacitive load draws q_r < 0.
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ Every file is written through one atomic writer, `open_atomic`: a
 context manager that yields the handle of a `<name>.partial` sibling,
 renames it to `<name>` when the block succeeds and deletes it when the
 block raises, so a failed or interrupted run leaves neither a
-clean-looking half-written output nor a .partial file.
-`write_text_atomic` writes one string through it.
+clean-looking half-written output nor a .partial file.  The `sweep`
+command holds every file of a run open at once, so none is renamed
+before all are written, and manifest.json is renamed last.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "PLOT_QUANTITIES",
     "RecordWriter",
     "open_atomic",
-    "write_text_atomic",
     "dips_report_json",
     "config_digest",
     "build_manifest",
@@ -177,12 +177,6 @@ def open_atomic(path: str | Path) -> Iterator[TextIOBase]:
     except BaseException:  # includes KeyboardInterrupt; re-raised below
         partial.unlink(missing_ok=True)
         raise
-
-
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text to path through open_atomic."""
-    with open_atomic(path) as fh:
-        fh.write(text)
 
 
 def dips_report_json(dips: list[TuningDip]) -> str:

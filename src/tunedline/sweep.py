@@ -69,8 +69,9 @@ class SweepConfig(_Validated, namedtuple("SweepConfig", _SWEEP_FIELDS)):
     f_end Hz (floats), over n_points (int) grid points; the solver works
     per phase with vs = source_voltage/sqrt(3) at angle zero.  model (str)
     selects the line representation: "exact", "lossless", or "pi-cascade"
-    with pi_sections (int) lumped segments.  The grid step must exceed
-    2*ulp(f_end), which keeps the computed grid strictly increasing.
+    with pi_sections (int) lumped segments, each of which must be longer
+    than 0 km after rounding.  The grid step must exceed 2*ulp(f_end),
+    which keeps the computed grid strictly increasing.
     """
 
     __slots__ = ()
@@ -109,6 +110,8 @@ class SweepConfig(_Validated, namedtuple("SweepConfig", _SWEEP_FIELDS)):
             raise ValueError("lossless model requires r = 0 and g = 0")
         if pi_sections < 1:
             raise ValueError("pi_sections must be at least 1")
+        if model == "pi-cascade" and length / pi_sections == 0.0:
+            raise ValueError("length / pi_sections underflows to a zero-length section")
         return super().__new__(
             cls, line, length, source_voltage, load, f_start, f_end, n_points, model, pi_sections
         )
@@ -201,8 +204,6 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
                 b = zc * sh
                 c = sh / zc
             else:
-                if seg == 0.0:  # length / N underflowed: nominal_pi rejects it
-                    raise ValueError
                 a, b, c, d = _pi_cascade(
                     complex(r, omega * L), complex(g, omega * C), seg, squarings, bits
                 )

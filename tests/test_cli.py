@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import io
@@ -11,7 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -75,27 +76,31 @@ f_end = {f_end} Hz
 n_points = 3
 model = {model}
 """
+# what each OVERFLOW_CASES run prints, formatted with its config file and frequency
+FLOAT_RANGE_ERROR = "error: solution out of float range at f = {frequency} Hz\n"
 OVERFLOW_CASES = [
     pytest.param(
         STOPBAND_CONFIG.format(r=500, f_start=2400, f_end=2500, model="exact"), 2400.0,
-        id="exact",
+        FLOAT_RANGE_ERROR, id="exact",
     ),
     pytest.param(
         STOPBAND_CONFIG.format(r=0, f_start=12500, f_end=25000, model="pi-cascade(100)"),
-        18750.0, id="pi-cascade",
+        18750.0, FLOAT_RANGE_ERROR, id="pi-cascade",
     ),
     # 2*pi*f overflows to inf at 5e307 Hz, and math.cos(inf) raises ValueError
     pytest.param(
         STOPBAND_CONFIG.format(r=0, f_start=50, f_end=1e308, model="lossless"), 5e307,
-        id="infinite-angle",
+        FLOAT_RANGE_ERROR, id="infinite-angle",
     ),
     # length / N rounds to 0 km (5e-324 / 2 == 0.0): a zero-length section
-    # is no line, so the first point fails instead of solving an identity
+    # is no line, so the config is rejected before any point is solved
     pytest.param(
         bundled_config_path("experiment_500km").read_text()
         .replace("length = 500 km", "length = 5e-324 km")
         .replace("model = lossless", "model = pi-cascade(2)"),
-        50.0, id="section-length-underflow",
+        50.0,
+        "error: {cfg_file}: length / pi_sections underflows to a zero-length section\n",
+        id="section-length-underflow",
     ),
     # the tuned row's per-phase cells are finite (p_r = 7.5e307 W), and
     # its three-phase p_r*3 would overflow to an inf cell
@@ -106,7 +111,7 @@ OVERFLOW_CASES = [
         .replace("g_load = 1 mS", "g_load = 1 S")
         .replace("voltage = 220 kV", "voltage = 1.5e154 V")
         .format(r=0, f_start=299, f_end=301, model="lossless"),
-        300.0, id="three-phase-overflow",
+        300.0, FLOAT_RANGE_ERROR, id="three-phase-overflow",
     ),
 ]
 
@@ -239,14 +244,14 @@ class TestSolveCommand:
         assert main(["solve", "--config", "experiment_500km", "--frequency", frequency]) == 2
         assert "frequency" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, frequency", OVERFLOW_CASES)
-    def test_overflow_exits_2(self, capsys, tmp_path, text, frequency):
+    @pytest.mark.parametrize("text, frequency, error", OVERFLOW_CASES)
+    def test_overflow_exits_2(self, capsys, tmp_path, text, frequency, error):
         cfg_file = tmp_path / "stopband.ini"
         cfg_file.write_text(text)
         assert main(["solve", "--config", str(cfg_file), "--frequency", str(frequency)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: solution out of float range at f = {frequency} Hz\n"
+        assert captured.err == error.format(cfg_file=cfg_file, frequency=frequency)
 
     def test_solve_matches_sweep_row(self, capsys):
         # solve is a one-point sweep: its report is the sweep's CSV row
@@ -450,8 +455,8 @@ class TestSweepCommand:
             assert len(captured.err) < len(f"error: {cfg_file}: ") + 150
         assert not out.exists()
 
-    @pytest.mark.parametrize("text, frequency", OVERFLOW_CASES)
-    def test_overflow_exits_2_without_output(self, capsys, tmp_path, text, frequency):
+    @pytest.mark.parametrize("text, frequency, error", OVERFLOW_CASES)
+    def test_overflow_exits_2_without_output(self, capsys, tmp_path, text, frequency, error):
         cfg_file = tmp_path / "stopband.ini"
         cfg_file.write_text(text)
         out = tmp_path / "out"
@@ -461,7 +466,7 @@ class TestSweepCommand:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
-        assert proc.stderr == f"error: solution out of float range at f = {frequency} Hz\n"
+        assert proc.stderr == error.format(cfg_file=cfg_file, frequency=frequency)
         assert not (out / "records.csv").exists()
 
     def test_degenerate_grid_exits_2_without_output(self, capsys, tmp_path):
@@ -536,6 +541,68 @@ class TestSweepCommand:
         main(["sweep", "--config", "experiment_500km", "--out", str(blocker / "sub")])
         leftovers = [p for p in tmp_path.rglob("*") if p != blocker]
         assert all(p.name.endswith(".partial") for p in leftovers)
+
+
+class _FullDisk:
+    """A file handle whose writes fail as on a full disk."""
+
+    def write(self, text: str) -> None:
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestSweepOutputSet:
+    """Each `sweep` run leaves one output set in its directory, or none."""
+
+    def test_second_run_leaves_only_its_own_outputs(self, capsys, tmp_path):
+        # the 500 km run's records.json and plot files would mix its dips
+        # into the 300 km run's directory
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", "experiment_500km", "--out", str(out),
+                     "--format", "json", "--plot-data"]) == 0
+        assert main(["sweep", "--config", "experiment_300km", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(out / "records.csv"), str(out / "dips.json")]
+        assert sorted(p.name for p in out.iterdir()) == ["dips.json", "manifest.json",
+                                                         "records.csv"]
+        fresh = tmp_path / "fresh"
+        assert main(["sweep", "--config", "experiment_300km", "--out", str(fresh)]) == 0
+        for name in ("records.csv", "dips.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_other_files_in_the_directory_are_kept(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("notes.txt", "records.json.bak", "v_r.dat"):
+            (out / name).write_text(name)
+        (out / "plots").mkdir()
+        assert main(["sweep", "--config", "experiment_300km", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dips.json", "manifest.json", "notes.txt", "plots", "records.csv",
+            "records.json.bak", "v_r.dat",
+        ]
+        assert (out / "v_r.dat").read_text() == "v_r.dat"
+
+    @pytest.mark.parametrize("failing", ["records.csv", "dips.json", "manifest.json"])
+    def test_failed_write_leaves_previous_run_unchanged(self, monkeypatch, capsys, tmp_path,
+                                                        failing):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", "experiment_500km", "--out", str(out),
+                     "--format", "json", "--plot-data"]) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_open_atomic = cli.open_atomic
+
+        @contextmanager
+        def open_atomic(path):
+            with real_open_atomic(path) as fh:
+                yield _FullDisk() if Path(path).name == failing else fh
+
+        monkeypatch.setattr(cli, "open_atomic", open_atomic)
+        assert main(["sweep", "--config", "experiment_300km", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: [Errno 28] No space left on device\n"
+        assert captured.out == ""
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def grid_config(tmp_path, text: str, f_start: float, f_end: float, n_points: int):

@@ -81,6 +81,10 @@ class TestSweepConfig:
             experiment_config(500.0, model="spice")
         with pytest.raises(ValueError):
             experiment_config(500.0, model="pi-cascade", pi_sections=0)
+        # 5e-324 km / 2 rounds to a zero-length section; only pi-cascade has sections
+        with pytest.raises(ValueError, match="zero-length section"):
+            experiment_config(5e-324, model="pi-cascade", pi_sections=2)
+        assert experiment_config(5e-324, pi_sections=2).length == 5e-324
 
     @pytest.mark.parametrize(
         "field", ["source_voltage", "f_start", "f_end"]
