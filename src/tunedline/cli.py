@@ -161,6 +161,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         **{f"{q}.dat": args.plot_data for q in PLOT_QUANTITIES},
     }
     outputs = [out_dir / name for name, written in file_set.items() if written]
+    # a directory at a fixed name would fail its rename or unlink after others succeeded
+    for path in [out_dir / name for name in ("manifest.json", *file_set)]:
+        if path.is_dir():
+            raise IsADirectoryError(f"{path} is a directory, not an output file")
 
     records = sweep_points(cfg, cfg.grid())
     window = TuningDipWindow(cfg.length, cfg.line.velocity)

@@ -28,12 +28,15 @@ A config has four sections whose keys mirror the SweepConfig fields:
 Values may carry a unit suffix from the tables below; bare numbers are
 taken in the base unit (km, Hz, V, VAr, W, ohm/km, H/km, S/km, F/km, S,
 F, ohm).  Unit tokens are case-sensitive (m and M differ).  model is one
-of: exact, lossless, pi-cascade, pi-cascade(N).
+of: exact, lossless, pi-cascade, pi-cascade(N).  Numbers are ASCII decimal
+with an optional sign and exponent, finite in base units; each value is
+one `key = value` line, and [DEFAULT] is an unknown section.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import re
 import sys
 from pathlib import Path
@@ -69,7 +72,9 @@ _CONDUCTANCE = {"S": 1.0, "mS": 1e-3, "uS": 1e-6}
 _CAPACITANCE = {"F": 1.0, "uF": 1e-6, "nF": 1e-9, "pF": 1e-12}
 _RESISTANCE = {"ohm": 1.0, "kohm": 1e3}
 
-_MODEL_RE = re.compile(r"^pi-cascade\((\d+)\)$")
+_FLOAT_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_MODEL_RE = re.compile(r"pi-cascade\(([0-9]+)\)")
 
 # characters of a config value an error message echoes
 _QUOTE_CHARS = 20
@@ -101,83 +106,71 @@ def _read_error(exc: configparser.Error, text: str, origin: str) -> ConfigError:
 
 
 def _parse_int(text: str, where: str) -> int:
-    """int(text), or a ConfigError naming where; text is not echoed whole."""
+    """text read by _INT_RE, or a ConfigError naming where; text is not echoed whole."""
+    if not _INT_RE.fullmatch(text):
+        raise ConfigError(f"{where}: {_quoted(text)} is not an integer")
     try:
         return int(text)
-    except ValueError:
-        pass
-    try:
-        # text is an integer that int() refuses only for its length when it
-        # reads with every run of digits cut to one digit
-        int(re.sub(r"\d+", "1", text))
-    except ValueError:
-        raise ConfigError(f"{where}: {_quoted(text)} is not an integer") from None
-    digits = sum(map(str.isdecimal, text))
-    raise ConfigError(
-        f"{where}: an integer of {digits} digits, more than the "
-        f"{sys.get_int_max_str_digits()} accepted"
-    )
-
-
-def parse_quantity(text: str, units: dict[str, float], *, where: str) -> float:
-    """Parse '<number>[ <unit>]' normalizing the unit suffix to base units."""
-    parts = text.split()
-    if not parts or len(parts) > 2:
-        raise ConfigError(f"{where}: expected '<number> [unit]', got {_quoted(text)}")
-    try:
-        value = float(parts[0])
-    except ValueError:
-        raise ConfigError(f"{where}: {_quoted(parts[0])} is not a number") from None
-    if len(parts) == 1:
-        return value
-    try:
-        return value * units[parts[1]]
-    except KeyError:
-        allowed = ", ".join(sorted(units))
+    except ValueError:  # text is an integer, so int() refuses it for its length
         raise ConfigError(
-            f"{where}: unknown unit {_quoted(parts[1])} (allowed: {allowed})"
+            f"{where}: an integer of {len(text.lstrip('+-'))} digits, more than the "
+            f"{sys.get_int_max_str_digits()} accepted"
         ) from None
 
 
-class _Section:
-    """One config section with typed getters and unknown-key detection."""
+def parse_quantity(text: str, units: dict[str, float], *, where: str) -> float:
+    """Parse '<number>[ <unit>]' normalizing the unit suffix to base units;
+    the number matches _FLOAT_RE, and the value must be finite."""
+    parts = text.split()
+    if not parts or len(parts) > 2:
+        raise ConfigError(f"{where}: expected '<number> [unit]', got {_quoted(text)}")
+    if not _FLOAT_RE.fullmatch(parts[0]):
+        raise ConfigError(f"{where}: {_quoted(parts[0])} is not a number")
+    if len(parts) == 2 and parts[1] not in units:
+        allowed = ", ".join(sorted(units))
+        raise ConfigError(f"{where}: unknown unit {_quoted(parts[1])} (allowed: {allowed})")
+    value = float(parts[0]) * (units[parts[1]] if len(parts) == 2 else 1.0)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {_quoted(text)} is out of float range")
+    return value
 
-    def __init__(self, name: str, raw: dict[str, str], origin: str):
+
+class _Section:
+    """One config section with typed getters; each getter pops its key, so
+    the keys left in raw are the unknown ones."""
+
+    def __init__(self, parser: configparser.ConfigParser, name: str, origin: str):
         self.name = name
-        self.raw = raw
+        self.raw = dict(parser[name])
         self.origin = origin
-        self.seen: set[str] = set()
 
     def _where(self, key: str) -> str:
         return f"{self.origin}: [{self.name}] {key}"
 
     def get_str(self, key: str, default: str | None = None) -> str:
-        self.seen.add(key)
-        if key in self.raw:
-            return self.raw[key].strip()
-        if default is None:
+        text = self.raw.pop(key, default)
+        if text is None:
             raise ConfigError(f"{self._where(key)} is required")
-        return default
+        if "\n" in text:  # configparser joins an indented next line onto the value
+            raise ConfigError(f"{self._where(key)}: the value spans lines")
+        return text
 
     def get(self, key: str, units: dict[str, float], default: str | None = None) -> float:
-        text = self.get_str(key, default)
-        return parse_quantity(text, units, where=self._where(key))
+        return parse_quantity(self.get_str(key, default), units, where=self._where(key))
 
     def get_int(self, key: str) -> int:
         return _parse_int(self.get_str(key), self._where(key))
 
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
     def check_no_extras(self) -> None:
-        extras = ", ".join(sorted(set(self.raw) - self.seen))
+        extras = ", ".join(sorted(self.raw))
         if extras:
             raise ConfigError(f"{self.origin}: unknown key(s) in [{self.name}]: {_quoted(extras)}")
 
 
 def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
     """Parse config text into a validated SweepConfig."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # "\n" is a default section no [header] can name, so [DEFAULT] is unknown
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="\n")
     try:
         parser.read_string(text, source=origin)
     except configparser.Error as exc:
@@ -192,29 +185,23 @@ def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
     if extras:
         raise ConfigError(f"{origin}: unknown section(s): {_quoted(extras)}")
 
-    def section(name: str) -> _Section:
-        return _Section(name, dict(parser[name]), origin)
-
-    line_sec = section("line")
+    line_sec = _Section(parser, "line", origin)
+    L, C = line_sec.get("l", _L_PER_KM), line_sec.get("c", _C_PER_KM)
+    r, g = line_sec.get("r", _R_PER_KM, default="0"), line_sec.get("g", _G_PER_KM, default="0")
     try:
-        line = LineParameters(
-            L=line_sec.get("l", _L_PER_KM),
-            C=line_sec.get("c", _C_PER_KM),
-            r=line_sec.get("r", _R_PER_KM, default="0"),
-            g=line_sec.get("g", _G_PER_KM, default="0"),
-        )
+        line = LineParameters(L=L, C=C, r=r, g=g)
     except ValueError as exc:
         raise ConfigError(f"{origin}: [line]: {exc}") from None
     length = line_sec.get("length", _LENGTH)
     line_sec.check_no_extras()
 
-    load = _parse_load(section("load"), origin)
+    load = _parse_load(_Section(parser, "load", origin), origin)
 
-    source_sec = section("source")
+    source_sec = _Section(parser, "source", origin)
     voltage = source_sec.get("voltage", _VOLT)
     source_sec.check_no_extras()
 
-    sweep_sec = section("sweep")
+    sweep_sec = _Section(parser, "sweep", origin)
     f_start = sweep_sec.get("f_start", _FREQ)
     f_end = sweep_sec.get("f_end", _FREQ)
     n_points = sweep_sec.get_int("n_points")
@@ -247,7 +234,7 @@ def _parse_load(sec: _Section, origin: str) -> LoadSpec:
         elif kind == "fixed-capacitance-rated":
             rated_v = sec.get("rated_v", _VOLT)
             g_load = sec.get("g_load", _CONDUCTANCE, default="0")
-            if sec.has("rated_p"):
+            if "rated_p" in sec.raw:
                 # resistive component given as active power at the rating voltage
                 g_load += sec.get("rated_p", _ACTIVE) / rated_v**2
             load = LoadSpec.from_rated_capacitor(
@@ -278,7 +265,7 @@ def _parse_model(text: str, origin: str) -> dict:
     """The SweepConfig model field, and pi_sections when the text gives N."""
     if text in MODEL_CHOICES:
         return {"model": text}
-    match = _MODEL_RE.match(text)
+    match = _MODEL_RE.fullmatch(text)
     if match:
         n = _parse_int(match.group(1), f"{origin}: [sweep] model pi-cascade(N)")
         return {"model": "pi-cascade", "pi_sections": n}

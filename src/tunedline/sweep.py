@@ -296,7 +296,8 @@ class TuningDipWindow:
 
     Each dip is matched to the nearest analytic harmonic n*v/(2*length);
     dips farther than two grid steps (the spacing of the first two
-    records) from every harmonic are reported with n_matched = 0.
+    records) from every harmonic, or whose 2*f*length/v overflows, are
+    reported with n_matched = 0.
     """
 
     __slots__ = ("length", "velocity", "dips", "usable", "_left", "_mid", "_q", "_step")
@@ -347,6 +348,9 @@ class TuningDipWindow:
         return self.dips
 
     def _match(self, rec: SweepRecord, step: float) -> None:
-        _, nearest = is_tuned(self.length, Frequency(rec.f_hz), self.velocity)
-        n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
+        try:
+            _, nearest = is_tuned(self.length, Frequency(rec.f_hz), self.velocity)
+            n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
+        except ValueError:  # 2*f*length/v overflows: no harmonic is near
+            n = 0
         self.dips.append(TuningDip(rec.f_hz, n, rec.q_line_mvar))

@@ -94,13 +94,16 @@ def is_tuned(
 
     The pair is tuned when 2*f*l/v is within rel_tol of an integer n >= 1.
     Also returns the nearest tuning frequency as a TuningSolution (with n
-    clamped to 1, since n = 0 is no line at all).
+    clamped to 1, since n = 0 is no line at all).  Raises ValueError when
+    2*f*l/v is out of float range.
     """
     _check_velocity(velocity)
     _check_length(length)
     if not (0.0 < rel_tol < 0.5):
         raise ValueError("rel_tol must lie in (0, 0.5)")
     x = 2.0 * freq.f * length / velocity
+    if math.isinf(x):
+        raise ValueError("2*f*length/velocity is out of float range")
     nearest_int = round(x)
     tuned = nearest_int >= 1 and abs(x - nearest_int) <= rel_tol
     n = max(1, nearest_int)

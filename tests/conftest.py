@@ -90,8 +90,11 @@ def reference_tuning_dips(records: list, length: float, velocity: float) -> list
         else:
             is_dip = left is not None and right is not None and q < left and q < right
         if is_dip:
-            _, nearest = is_tuned(length, Frequency(rec.f_hz), velocity)
-            n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
+            try:
+                _, nearest = is_tuned(length, Frequency(rec.f_hz), velocity)
+                n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
+            except ValueError:  # 2*f*length/v overflows: no harmonic to match
+                n = 0
             dips.append(TuningDip(f_detected=rec.f_hz, n_matched=n, q_line_at_dip=rec.q_line_mvar))
     return dips
 

@@ -424,6 +424,38 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("length = 500 km", "length = 1_000 km", "[line] length: '1_000' is not a number"),
+            ("length = 500 km", "length = \u0665\u0660\u0660 km",
+             "[line] length: '\u0665\u0660\u0660' is not a number"),
+            ("length = 500 km", "length = inf km", "[line] length: 'inf' is not a number"),
+            ("length = 500 km", "length = 1e999 km",
+             "[line] length: '1e999 km' is out of float range"),
+            ("voltage = 220 kV", "voltage = 1e308 kV",
+             "[source] voltage: '1e308 kV' is out of float range"),
+            ("n_points = 951", "n_points = \u0669\u0665\u0661",
+             "[sweep] n_points: '\u0669\u0665\u0661' is not an integer"),
+            ("length = 500 km", "length: 500 km",
+             "line 10: 'length: 500 km' is neither a [section] header nor a key = value line"),
+            ("length = 500 km", "length = 500\n  km", "[line] length: the value spans lines"),
+            ("[line]", "[DEFAULT]\n[line]", "unknown section(s): 'DEFAULT'"),
+        ],
+        ids=["underscore", "non-ascii-digits", "inf", "1e999", "1e308-kV",
+             "non-ascii-n_points", "colon", "continuation", "default-section"],
+    )
+    def test_rejected_spelling_exits_2_naming_the_key(self, capsys, tmp_path, old, new, message):
+        text = bundled_config_path("experiment_500km").read_text()
+        assert old in text
+        cfg_file = tmp_path / "spelling.ini"
+        cfg_file.write_text(text.replace(old, new))
+        out = tmp_path / "out"
+        for argv in (["sweep", "--out", str(out)], ["solve", "--frequency", "300"]):
+            assert main([*argv, "--config", str(cfg_file)]) == 2
+            assert capsys.readouterr() == ("", f"error: {cfg_file}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "config",
         # one name past the file-name limit, and a path of short components
         [LONG_NAME, "a/" * 1497 + "xx.ini"],
@@ -527,6 +559,23 @@ class TestSweepCommand:
         assert json.loads((out / "dips.json").read_text()) == []
         assert "tuning dips: 0 matched, 0 unmatched" in capsys.readouterr().out
 
+    def test_dips_whose_harmonic_index_overflows_are_unmatched(self, capsys, tmp_path):
+        # v = 1/sqrt(LC) = 1e155 km/s: at 1e307 Hz, 2*f*length/v overflows to inf
+        cfg_file = tmp_path / "fast.ini"
+        cfg_file.write_text(
+            "[line]\nr = 0.03 ohm/km\nL = 1e-155 H/km\ng = 1e-9 S/km\nC = 1e-155 F/km\n"
+            "length = 500 km\n[load]\nkind = admittance\ng_load = 1 mS\n"
+            "[source]\nvoltage = 220 kV\n"
+            "[sweep]\nf_start = 1e307 Hz\nf_end = 2e307 Hz\nn_points = 7\nmodel = exact\n"
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert "tuning dips: 0 matched, 2 unmatched" in capsys.readouterr().out
+        cfg = load_sweep_config(cfg_file)
+        dips = reference_tuning_dips(sweep_records(cfg), cfg.length, cfg.line.velocity)
+        assert [d.n_matched for d in dips] == [0, 0]
+        assert (out / "dips.json").read_text() == dips_report_json(dips)
+
     def test_unwritable_output_exits_4(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -581,6 +630,31 @@ class TestSweepOutputSet:
             "records.json.bak", "v_r.dat",
         ]
         assert (out / "v_r.dat").read_text() == "v_r.dat"
+
+    @pytest.mark.parametrize("args", [[], ["--format", "json", "--plot-data"]],
+                             ids=["csv", "json-plot-data"])
+    @pytest.mark.parametrize("name", ["manifest.json", "records.csv", "records.json", "dips.json",
+                                      "p_r_mw.dat", "q_r_mvar.dat", "q_line_mvar.dat"])
+    def test_directory_at_an_output_name_exits_4_unchanged(self, capsys, tmp_path, name, args):
+        # at a name the run writes, the directory would fail its rename; at a
+        # name it does not, its unlink: either one after other files were committed
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", "experiment_500km", "--out", str(out)]) == 0
+        (out / name).unlink(missing_ok=True)
+        (out / name).mkdir()
+        (out / name / "kept.txt").write_text("kept")
+        capsys.readouterr()
+
+        def tree() -> dict:
+            return {str(p.relative_to(out)): p.is_file() and hashlib.sha256(p.read_bytes()).digest()
+                    for p in out.rglob("*")}
+
+        before = tree()
+        assert main(["sweep", "--config", "experiment_300km", "--out", str(out), *args]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: {out / name} is a directory, not an output file\n"
+        )
+        assert tree() == before
 
     @pytest.mark.parametrize("failing", ["records.csv", "dips.json", "manifest.json"])
     def test_failed_write_leaves_previous_run_unchanged(self, monkeypatch, capsys, tmp_path,
@@ -730,13 +804,30 @@ def scaled(draw, base: float) -> str:
     return f"{mantissa}e{int(exponent) + draw(decades)}"
 
 
-@st.composite
-def extreme_config_texts(draw) -> str:
-    """Config text the parser accepts, each number a bundled value scaled by 10**k.
+# spellings the parser rejects, as (pattern, replacement) on one line of
+# extreme_config_texts' text; float(), int() or configparser read each of them
+REJECTED_SPELLINGS = [
+    (r"^(length = [0-9]\.[0-9])", r"\1_"),  # 5.0_00000e+02
+    (r"^n_points = [0-9]+",
+     lambda m: m[0].translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                          "\u0665\u0666\u0667\u0668\u0669"))),
+    (r"^voltage = .*", "voltage = nan"),
+    (r"^voltage = .*", "voltage = inf"),
+    (r"^f_end = .*", "f_end = Infinity"),
+    (r"^length = ", "length: "),
+    (r"^length = ", "length =\n  "),
+    (r"^\[line\]", "[DEFAULT]\n[line]"),
+]
 
-    A value that leaves the float range in the text itself (1e-400 reads
-    as 0, 1e400 as inf) is left in: the parser accepts it, validation
-    then decides.
+
+@st.composite
+def extreme_config_texts(draw, n_points=st.integers(min_value=2, max_value=10) | huge_ints):
+    """(text, rejected): config text, each number a bundled value scaled by
+    10**k, and whether one of REJECTED_SPELLINGS was applied to it.
+
+    The parser accepts the text when rejected is false.  A value that
+    leaves the float range (1e400) is left in: the parser rejects it,
+    while one that underflows (1e-400 reads as 0) is left to validation.
     """
     model = draw(st.sampled_from(["lossless", "exact", "pi-cascade"])
                  | (st.integers(min_value=1, max_value=1000) | huge_ints).map(
@@ -754,21 +845,27 @@ def extreme_config_texts(draw) -> str:
                 f"rated_f = {draw(scaled(50.0))}\n"
                 + draw(st.just("") | scaled(1e8).map(lambda p: f"rated_p = {p}\n")))
     f_start, f_end = sorted([float(draw(scaled(50.0))), float(draw(scaled(1000.0)))])
-    n_points = draw(st.integers(min_value=2, max_value=10) | huge_ints)
-    return (
+    text = (
         f"[line]\nr = {r}\nL = {draw(scaled(1e-3))}\ng = {g}\nC = {draw(scaled(1e-8))}\n"
         f"length = {draw(scaled(500.0))}\n\n[load]\nkind = {kind}\n{load}\n\n"
         f"[source]\nvoltage = {draw(scaled(220e3))}\n\n"
-        f"[sweep]\nf_start = {f_start!r}\nf_end = {f_end!r}\nn_points = {n_points}\n"
+        f"[sweep]\nf_start = {f_start!r}\nf_end = {f_end!r}\nn_points = {draw(n_points)}\n"
         f"model = {model}\n"
     )
+    # one config in four carries a rejected spelling
+    spelling = draw(st.sampled_from([None] * (3 * len(REJECTED_SPELLINGS)) + REJECTED_SPELLINGS))
+    if spelling is None:
+        return text, False
+    pattern, replacement = spelling
+    return re.sub(pattern, replacement, text, count=1, flags=re.MULTILINE), True
 
 
-@given(text=extreme_config_texts(), frequency=scaled(300.0))
+@given(case=extreme_config_texts(), frequency=scaled(300.0))
 @settings(max_examples=300, deadline=None)
 def test_property_solve_extreme_configs_exit_0_with_finite_cells_or_one_error_line(
-    tmp_path_factory, text, frequency
+    tmp_path_factory, case, frequency
 ):
+    text, rejected = case
     cfg_file = tmp_path_factory.mktemp("extreme") / "extreme.ini"
     cfg_file.write_text(text)
     out, err = io.StringIO(), io.StringIO()
@@ -786,6 +883,36 @@ def test_property_solve_extreme_configs_exit_0_with_finite_cells_or_one_error_li
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
         assert err.getvalue().count("\n") == 1
+    assert not rejected or code == 2
+
+
+@given(case=extreme_config_texts(n_points=st.integers(min_value=2, max_value=10)))
+@settings(max_examples=300, deadline=None)
+def test_property_sweep_extreme_configs_exit_0_with_finite_or_flagged_rows_or_one_error_line(
+    tmp_path_factory, case
+):
+    text, rejected = case
+    tmp = tmp_path_factory.mktemp("extreme")
+    cfg_file = tmp / "extreme.ini"
+    cfg_file.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["sweep", "--config", str(cfg_file), "--out", str(tmp / "out")])
+    if code == 0:
+        rows = read_records_csv(tmp / "out" / "records.csv")
+        for row in rows:
+            # a singular row keeps f_hz and vs_kv and leaves the solved cells empty
+            assert (None in row[:7]) == row.singular, row
+            assert all(math.isfinite(x) for x in row[:7] if x is not None), row
+        assert err.getvalue() == ""
+    else:
+        # 2: rejected config or a point out of float range; never 1, a traceback
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert not (tmp / "out" / "records.csv").exists()
+    assert not rejected or code == 2
 
 
 def test_module_entry_point():

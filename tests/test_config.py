@@ -71,6 +71,53 @@ def test_parse_quantity_units():
         parse_quantity("1 2 Hz", {"Hz": 1.0}, where="x")
 
 
+@pytest.mark.parametrize("text", ["5", "+5", "-5", "5.25", ".5", "-.5", "5e3", "5E-3",
+                                  "+.5e+2", "007", "1e-400"])
+def test_parse_quantity_reads_ascii_decimal(text):
+    assert parse_quantity(text, {}, where="x") == float(text)
+
+
+@pytest.mark.parametrize("text", ["1_000", "\u0665\u0660\u0660", "\uff15", "inf", "-Infinity",
+                                  "nan", "1.", "5.e3", "0x1F4", "1e", "e5", "+-5", "1e5.0"])
+def test_parse_quantity_rejects_other_spellings(text):
+    # each is a float() accepts (underscores, non-ASCII digits, nan/inf) or one it refuses
+    with pytest.raises(ConfigError, match=f"^x: {re.escape(repr(text))} is not a number$"):
+        parse_quantity(f"{text} Hz", {"Hz": 1.0}, where="x")
+
+
+@pytest.mark.parametrize("text", ["1e999", "-1e999", "1e308 kHz", "2e305 kHz"])
+def test_parse_quantity_rejects_values_out_of_float_range(text):
+    with pytest.raises(ConfigError, match=f"^x: {re.escape(repr(text))} is out of float range$"):
+        parse_quantity(text, {"Hz": 1.0, "kHz": 1e3}, where="x")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("n_points = 951", "n_points = +951", None),
+        ("n_points = 951", "n_points = 9_51", "[sweep] n_points: '9_51' is not an integer"),
+        ("model = lossless", "model = pi-cascade(\u0663\u0667)",
+         "[sweep] model must be exact, lossless, pi-cascade or pi-cascade(N), "
+         "got 'pi-cascade(\u0663\u0667)'"),
+        ("length = 500 km", "length =\n  500 km", "[line] length: the value spans lines"),
+        ("[line]", "[DEFAULT]\nmodel = lossless\n[line]", "unknown section(s): 'DEFAULT'"),
+        # named once, not wrapped again as a LineParameters error
+        ("L = 1.0 mH/km", "L = abc mH/km", "[line] l: 'abc' is not a number"),
+    ],
+    ids=["sign", "underscore", "non-ascii-pi-sections", "value-on-next-line", "default-key",
+         "line-constant"],
+)
+def test_config_grammar(old, new, message):
+    assert old in GOOD
+    text = GOOD.replace(old, new)
+    if message is None:
+        assert parse_sweep_config(text) == parse_sweep_config(GOOD)
+        return
+    with pytest.raises(ConfigError) as excinfo:
+        parse_sweep_config(text, origin="cfg.ini")
+    assert str(excinfo.value) == f"cfg.ini: {message}"
+
+
 def test_admittance_load_kind():
     text = GOOD.replace(
         """kind = fixed-capacitance-rated

@@ -102,6 +102,11 @@ class TestIsTuned:
             with pytest.raises(ValueError):
                 is_tuned(500.0, Frequency(300.0), V, bad)
 
+    def test_rejects_harmonic_index_out_of_float_range(self):
+        # 2*f*l/v = 2 * 1.5e307 * 500 / 1e155 overflows: round(inf) has no integer
+        with pytest.raises(ValueError, match="out of float range"):
+            is_tuned(500.0, Frequency(1.5e307), 1e155)
+
 
 # --- randomized properties -------------------------------------------------
 
