@@ -32,6 +32,11 @@ from .tuning import DEFAULT_VELOCITY_KM_S, tuned_lengths, tuning_frequencies
 # memory does not grow with n_points.
 CHUNK_POINTS = 4096
 
+# Highest `tuning --n-max`: the command builds every solution and its whole
+# report before printing, ~1 KB per harmonic.  At the default velocity the
+# 1000th harmonic is at least 150 kHz on any line up to 1000 km.
+TUNING_N_MAX = 1000
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -56,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="wave velocity in km/s (default %(default)s)",
     )
     p_tuning.add_argument(
-        "--n-max", type=int, default=3, metavar="N", help="highest harmonic (default 3)"
+        "--n-max", type=int, default=3, metavar="N",
+        help=f"highest harmonic, at most {TUNING_N_MAX} (default %(default)s)",
     )
     p_tuning.add_argument(
         "--format", choices=("table", "csv", "json"), default="table", help="output format"
@@ -93,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_tuning(args: argparse.Namespace) -> int:
+    if args.n_max > TUNING_N_MAX:
+        raise ValueError(f"--n-max must be at most {TUNING_N_MAX}")
     if args.length is not None:
         solutions = tuning_frequencies(args.length, args.velocity, args.n_max)
         unit, title = "Hz", f"tuning frequencies for a {args.length:g} km line"

@@ -75,6 +75,9 @@ _RESISTANCE = {"ohm": 1.0, "kohm": 1e3}
 _FLOAT_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]+)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 _MODEL_RE = re.compile(r"pi-cascade\(([0-9]+)\)")
+# '<number>[ <unit>]', the unit apart by ASCII spaces or tabs: \S excludes
+# the other whitespace (a no-break space, say), which str.split() splits on
+_QUANTITY_RE = re.compile(r"[ \t]*(\S+)(?:[ \t]+(\S+))?[ \t]*")
 
 # characters of a config value an error message echoes
 _QUOTE_CHARS = 20
@@ -120,16 +123,18 @@ def _parse_int(text: str, where: str) -> int:
 
 def parse_quantity(text: str, units: dict[str, float], *, where: str) -> float:
     """Parse '<number>[ <unit>]' normalizing the unit suffix to base units;
-    the number matches _FLOAT_RE, and the value must be finite."""
-    parts = text.split()
-    if not parts or len(parts) > 2:
+    the number matches _FLOAT_RE, the unit follows after ASCII spaces or
+    tabs, and the value must be finite."""
+    match = _QUANTITY_RE.fullmatch(text)
+    if not match:
         raise ConfigError(f"{where}: expected '<number> [unit]', got {_quoted(text)}")
-    if not _FLOAT_RE.fullmatch(parts[0]):
-        raise ConfigError(f"{where}: {_quoted(parts[0])} is not a number")
-    if len(parts) == 2 and parts[1] not in units:
+    number, unit = match.groups()
+    if not _FLOAT_RE.fullmatch(number):
+        raise ConfigError(f"{where}: {_quoted(number)} is not a number")
+    if unit is not None and unit not in units:
         allowed = ", ".join(sorted(units))
-        raise ConfigError(f"{where}: unknown unit {_quoted(parts[1])} (allowed: {allowed})")
-    value = float(parts[0]) * (units[parts[1]] if len(parts) == 2 else 1.0)
+        raise ConfigError(f"{where}: unknown unit {_quoted(unit)} (allowed: {allowed})")
+    value = float(number) * (1.0 if unit is None else units[unit])
     if not math.isfinite(value):
         raise ConfigError(f"{where}: {_quoted(text)} is out of float range")
     return value

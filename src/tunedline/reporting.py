@@ -16,11 +16,13 @@ and the flag and leave the other cells empty.
 
 records.json holds the same rows as an indent-2 JSON array of objects
 keyed by the CSV header, laid out as `json.dumps(..., indent=2)` lays
-it out, with null for the empty cells.  Its numbers are the CSV's
-17-digit cells, with `.0` appended to a cell that has neither `.` nor
-`e` (`50`, `-0`), so every number loads as the same float, signed zeros
-included.  The plot files are `f_hz value` pairs of the same cells, one
-line per non-singular row.
+it out.  Every element, singular or not, is one template filled with
+the row's eight CSV cells, each spelled by one rule: an empty cell is
+null, a cell with neither `.` nor `e` (`50`, `-0`) gets `.0`, and
+every other cell (a 17-digit number, false, true) is kept as it is.  So
+every number loads as the same float, signed zeros included.  The plot
+files are `f_hz value` pairs of the same cells, one line per
+non-singular row.
 
 `RecordWriter` is the one renderer of records.csv, records.json and the
 plot files.  It streams them into open files a chunk of records at a
@@ -77,22 +79,19 @@ PLOT_QUANTITIES = CSV_FIELDS[1:4]
 _ROW = "%%.17g,%%.17g,%%.17g,%%.17g,%.17g,%%.17g,%%.17g,false\n"
 _SINGULAR_ROW = "%%.17g,,,,%.17g,,,true\n"
 
-# records.json array elements, laid out as json.dumps(..., indent=2) lays
-# them out, filled with the JSON spellings of the CSV cells.
-_JSON_ROW, _JSON_SINGULAR_ROW = (
-    "  {\n" + ",\n".join(f'    "{key}": {cell}' for key, cell in zip(CSV_FIELDS, cells)) + "\n  }"
-    for cells in (
-        ["%s"] * 7 + ["false"],
-        ["%s", "null", "null", "null", "%s", "null", "null", "true"],
-    )
-)
+# records.json array element, laid out as json.dumps(..., indent=2) lays
+# it out, filled with the JSON spellings of a row's eight CSV cells.
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_FIELDS) + "\n  }"
 
 
-def _json_number(cell: str) -> str:
-    """A CSV cell as a JSON number that loads as the same float: `.0` is
+def _json_cell(cell: str) -> str:
+    """A CSV cell as its JSON value: an empty cell is null, and `.0` is
     appended to a cell with neither `.` nor `e`, which would load as an
-    int (and `-0` as the int 0)."""
-    return cell if "." in cell or "e" in cell else cell + ".0"
+    int (and `-0` as the int 0); the others, false and true included,
+    pass through."""
+    if "." in cell or "e" in cell:
+        return cell
+    return cell + ".0" if cell else "null"
 
 
 class RecordWriter:
@@ -106,7 +105,8 @@ class RecordWriter:
     records were chunked.  This is the only code that writes these
     files' heads, separators and tails.  Each float is formatted once,
     into its records.csv row; records.json and the plot files are cut
-    from that row's cells.
+    from that row's cells, every records.json element by one template
+    of the cells as `_json_cell` spells them (a singular row's as null).
 
     The records must be one sweep's: one vs_kv value throughout and
     finite cells, which `sweep_points` guarantees.  Hand-made rows that
@@ -139,13 +139,9 @@ class RecordWriter:
             return
         # records.json and the plot files reuse the CSV cells, so no float
         # is formatted twice; a singular row's p_r_mw cell is empty
-        cells = [csv_row.split(",") for csv_row in csv_rows]
+        cells = [csv_row[:-1].split(",") for csv_row in csv_rows]
         if self._json is not None:
-            elements = [
-                _JSON_ROW % tuple(map(_json_number, c[:7])) if c[1]
-                else _JSON_SINGULAR_ROW % (_json_number(c[0]), _json_number(c[4]))
-                for c in cells
-            ]
+            elements = [_JSON_ROW % tuple(map(_json_cell, c)) for c in cells]
             self._json.write(self._json_separator + ",\n".join(elements))
             self._json_separator = ",\n"
         if self._plots:

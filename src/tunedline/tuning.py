@@ -43,9 +43,23 @@ def _check_velocity(velocity: float) -> None:
         raise ValueError("velocity must be positive and finite")
 
 
+def _scaled_ratio(a: float, b: float, c: float, e: int) -> float:
+    """2**e * a * b / c, or inf when that overflows.
+
+    The mantissas are multiplied and divided and the exponents applied
+    once, so no intermediate overflows or underflows.  Where no step of
+    the expression itself would, the result has its bits.
+    """
+    (ma, ea), (mb, eb), (mc, ec) = map(math.frexp, (a, b, c))
+    try:
+        return math.ldexp(ma * mb / mc, ea + eb - ec + e)
+    except OverflowError:
+        return math.inf
+
+
 def _harmonic(n: int, velocity: float, x: float) -> TuningSolution:
     # n*v/(2x): a tuned length (km) for a frequency x, a tuning frequency (Hz) for a length x
-    return TuningSolution(n, n * velocity / (2.0 * x))
+    return TuningSolution(n, _scaled_ratio(n, velocity, x, -1))
 
 
 def _harmonics(x: float, velocity: float, n_max: int, what: str) -> list[TuningSolution]:
@@ -95,13 +109,13 @@ def is_tuned(
     The pair is tuned when 2*f*l/v is within rel_tol of an integer n >= 1.
     Also returns the nearest tuning frequency as a TuningSolution (with n
     clamped to 1, since n = 0 is no line at all).  Raises ValueError when
-    2*f*l/v is out of float range.
+    2*f*l/v is itself out of float range.
     """
     _check_velocity(velocity)
     _check_length(length)
     if not (0.0 < rel_tol < 0.5):
         raise ValueError("rel_tol must lie in (0, 0.5)")
-    x = 2.0 * freq.f * length / velocity
+    x = _scaled_ratio(freq.f, length, velocity, 1)
     if math.isinf(x):
         raise ValueError("2*f*length/velocity is out of float range")
     nearest_int = round(x)

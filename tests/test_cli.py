@@ -31,6 +31,7 @@ from tunedline import cli
 from tunedline.cli import main
 from tunedline.config import bundled_config_path, load_sweep_config
 from tunedline.reporting import CSV_FIELDS, dips_report_json
+from tunedline.sweep import SweepRecord, TuningDipWindow
 
 RESONANT_CONFIG = """
 [line]
@@ -173,6 +174,23 @@ class TestTuningCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n_max", ["1001", "1" + "0" * 400])
+    @pytest.mark.parametrize("query", [["--length", "500"], ["--frequency", "50"]])
+    def test_n_max_above_bound_exits_2_before_solving(self, capsys, monkeypatch, n_max, query):
+        def build(*args):
+            raise AssertionError("solutions built for an --n-max above the bound")
+
+        monkeypatch.setattr(cli, "tuning_frequencies", build)
+        monkeypatch.setattr(cli, "tuned_lengths", build)
+        assert main(["tuning", *query, "--n-max", n_max, "--format", "json"]) == 2
+        assert capsys.readouterr() == ("", "error: --n-max must be at most 1000\n")
+
+    def test_n_max_at_bound(self, capsys):
+        assert main(["tuning", "--length", "500", "--n-max", "1000", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["n"] for r in rows] == list(range(1, 1001))
+        assert rows[-1]["value"] == 300000.0
 
 
 class TestSolveCommand:
@@ -440,9 +458,14 @@ class TestSweepCommand:
              "line 10: 'length: 500 km' is neither a [section] header nor a key = value line"),
             ("length = 500 km", "length = 500\n  km", "[line] length: the value spans lines"),
             ("[line]", "[DEFAULT]\n[line]", "unknown section(s): 'DEFAULT'"),
+            ("length = 500 km", "length = 500\u00a0km",
+             "[line] length: expected '<number> [unit]', got '500\\xa0km'"),
+            ("length = 500 km", "length = 500\u2003km",
+             "[line] length: expected '<number> [unit]', got '500\\u2003km'"),
         ],
         ids=["underscore", "non-ascii-digits", "inf", "1e999", "1e308-kV",
-             "non-ascii-n_points", "colon", "continuation", "default-section"],
+             "non-ascii-n_points", "colon", "continuation", "default-section",
+             "no-break-space", "em-space"],
     )
     def test_rejected_spelling_exits_2_naming_the_key(self, capsys, tmp_path, old, new, message):
         text = bundled_config_path("experiment_500km").read_text()
@@ -559,22 +582,51 @@ class TestSweepCommand:
         assert json.loads((out / "dips.json").read_text()) == []
         assert "tuning dips: 0 matched, 0 unmatched" in capsys.readouterr().out
 
-    def test_dips_whose_harmonic_index_overflows_are_unmatched(self, capsys, tmp_path):
-        # v = 1/sqrt(LC) = 1e155 km/s: at 1e307 Hz, 2*f*length/v overflows to inf
+    @staticmethod
+    def _fast_line_config(tmp_path, L_and_C: str) -> Path:
+        """A lossy exact line of L = C per km swept at 1e307-2e307 Hz."""
         cfg_file = tmp_path / "fast.ini"
         cfg_file.write_text(
-            "[line]\nr = 0.03 ohm/km\nL = 1e-155 H/km\ng = 1e-9 S/km\nC = 1e-155 F/km\n"
+            f"[line]\nr = 0.03 ohm/km\nL = {L_and_C} H/km\ng = 1e-9 S/km\nC = {L_and_C} F/km\n"
             "length = 500 km\n[load]\nkind = admittance\ng_load = 1 mS\n"
             "[source]\nvoltage = 220 kV\n"
             "[sweep]\nf_start = 1e307 Hz\nf_end = 2e307 Hz\nn_points = 7\nmodel = exact\n"
         )
+        return cfg_file
+
+    def test_dips_whose_harmonic_product_overflows_are_matched(self, capsys, tmp_path):
+        # v = 1/sqrt(LC) ~ 1e155 km/s: at 1e307 Hz, 2*f*length overflows to inf
+        # while 2*f*length/v ~ 1e155 is a finite harmonic index
+        cfg_file = self._fast_line_config(tmp_path, "1e-155")
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
-        assert "tuning dips: 0 matched, 2 unmatched" in capsys.readouterr().out
+        assert "tuning dips: 2 matched, 0 unmatched" in capsys.readouterr().out
         cfg = load_sweep_config(cfg_file)
         dips = reference_tuning_dips(sweep_records(cfg), cfg.length, cfg.line.velocity)
-        assert [d.n_matched for d in dips] == [0, 0]
+        assert [d.n_matched for d in dips] == [
+            pytest.approx(2.0 * (d.f_detected / cfg.line.velocity) * cfg.length, rel=1e-15)
+            for d in dips
+        ]
         assert (out / "dips.json").read_text() == dips_report_json(dips)
+
+    def test_dips_whose_harmonic_index_overflows_are_unmatched(self, capsys, tmp_path):
+        # v = 10 km/s: at 1e307 Hz, 2*f*length/v = 1e309 overflows, and so
+        # does beta*length = pi*2*f*length/v: the sweep stops at its first point
+        cfg_file = self._fast_line_config(tmp_path, "0.1")
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: solution out of float range at f = 1e+307 Hz\n"
+        )
+        assert not (out / "records.csv").exists()
+        # so only hand-made records reach the dip window with such an index
+        records = [SweepRecord(f, 1.0, 1.0, q, 220.0, 220.0, 1.0, False)
+                   for f, q in [(1e307, 2.0), (1.5e307, 1.0), (2e307, 2.0)]]
+        window = TuningDipWindow(500.0, 10.0)
+        window.extend(records)
+        dips = window.close()
+        assert [(d.f_detected, d.n_matched) for d in dips] == [(1.5e307, 0)]
+        assert dips == reference_tuning_dips(records, 500.0, 10.0)
 
     def test_unwritable_output_exits_4(self, capsys, tmp_path):
         blocker = tmp_path / "file"
@@ -817,6 +869,8 @@ REJECTED_SPELLINGS = [
     (r"^length = ", "length: "),
     (r"^length = ", "length =\n  "),
     (r"^\[line\]", "[DEFAULT]\n[line]"),
+    (r"^(length = .*)", "\\1\u00a0km"),  # a no-break space before the unit
+    (r"^(length = .*)", "\\1\u2003km"),  # an em space
 ]
 
 

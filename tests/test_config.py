@@ -85,6 +85,15 @@ def test_parse_quantity_rejects_other_spellings(text):
         parse_quantity(f"{text} Hz", {"Hz": 1.0}, where="x")
 
 
+@pytest.mark.parametrize("text", ["500\u00a0Hz", "500\u2003Hz", "500\x1fHz", "500 Hz x"])
+def test_parse_quantity_separates_the_unit_by_ascii_blanks_only(text):
+    # str.split() read the first three as 500 Hz
+    with pytest.raises(ConfigError, match=f"^x: expected '<number> \\[unit\\]', got "
+                                          f"{re.escape(repr(text))}$"):
+        parse_quantity(text, {"Hz": 1.0}, where="x")
+    assert parse_quantity(" 500 \t Hz\t", {"Hz": 1.0}, where="x") == 500.0
+
+
 @pytest.mark.parametrize("text", ["1e999", "-1e999", "1e308 kHz", "2e305 kHz"])
 def test_parse_quantity_rejects_values_out_of_float_range(text):
     with pytest.raises(ConfigError, match=f"^x: {re.escape(repr(text))} is out of float range$"):

@@ -79,6 +79,11 @@ def test_singular_template_line_matches_per_cell_format(f, vs_kv):
     assert write_records([row])[0] == records_csv_per_cell([row])
 
 
+def _every_cell(value: float) -> list[tuple]:
+    """One plain and one singular row with every float cell set to value."""
+    return [(*[value] * 7, False), (value, None, None, None, value, None, None, True)]
+
+
 @given(rows=rows_strategy, cuts=st.lists(st.integers(min_value=0, max_value=12), max_size=6))
 @example(rows=[], cuts=[])
 @example(rows=[], cuts=[0, 0])
@@ -86,6 +91,13 @@ def test_singular_template_line_matches_per_cell_format(f, vs_kv):
 @example(rows=[SINGULAR_75], cuts=[0, 1, 1])
 @example(rows=[(1.0, 1.7976931348623157e308, -5e-324, -0.0, 5e-324, 0.1,
                 2.2250738585072014e-308, False)], cuts=[])
+# singular and plain rows through the one records.json template, each chunk cut
+# where vs_kv changes and starting or ending on a singular row
+@example(rows=[SINGULAR_75, *_every_cell(50.0)[::-1], *_every_cell(50.0), SINGULAR_75],
+         cuts=[1, 5])
+@example(rows=[*_every_cell(-0.0)[::-1], *_every_cell(-0.0), SINGULAR_75], cuts=[4, 4])
+@example(rows=[SINGULAR_75, *_every_cell(50.0), *_every_cell(-0.0)[::-1], SINGULAR_75],
+         cuts=[1, 3, 5])
 @settings(max_examples=200)
 def test_record_writer_chunks_equal_whole_list_formatters(rows, cuts):
     # rows split at the cuts give the bytes the whole-list oracles give for all rows
@@ -94,11 +106,6 @@ def test_record_writer_chunks_equal_whole_list_formatters(rows, cuts):
     assert json_text == records_json_per_cell(rows)
     plot_data = plot_data_per_cell(rows)
     assert plot_texts == [plot_data[q] for q in PLOT_QUANTITIES]
-
-
-def _every_cell(value: float) -> list[tuple]:
-    """One plain and one singular row with every float cell set to value."""
-    return [(*[value] * 7, False), (value, None, None, None, value, None, None, True)]
 
 
 @given(rows=rows_strategy)

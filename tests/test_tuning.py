@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import sys
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunedline import (
@@ -15,6 +19,7 @@ from tunedline import (
     tuned_lengths,
     tuning_frequencies,
 )
+from tunedline.tuning import _scaled_ratio
 
 V = DEFAULT_VELOCITY_KM_S
 
@@ -43,10 +48,12 @@ class TestTunedLengths:
     def test_rejects_lengths_out_of_float_range(self):
         with pytest.raises(ValueError, match=r"frequency 1e-310 Hz is out of float range"):
             tuned_lengths(Frequency(1e-310), V, 3)
-        # n*v fits for n = 3 (1.5e308) and overflows to inf for n = 4
-        assert tuned_lengths(Frequency(1.0), 5e307, 3)[-1].value == 7.5e307
+        # n*v/(2f) fits for n = 7 (1.75e308), although n*v overflows from
+        # n = 4 on, and leaves the float range for n = 8
+        assert tuned_lengths(Frequency(1.0), 5e307, 4)[-1].value == 1e308
+        assert tuned_lengths(Frequency(1.0), 5e307, 7)[-1].value == 1.75e308
         with pytest.raises(ValueError, match="out of float range"):
-            tuned_lengths(Frequency(1.0), 5e307, 4)
+            tuned_lengths(Frequency(1.0), 5e307, 8)
 
 
 class TestTuningFrequencies:
@@ -75,9 +82,10 @@ class TestTuningFrequencies:
     def test_rejects_frequencies_out_of_float_range(self):
         with pytest.raises(ValueError, match=r"length 1e-310 km is out of float range"):
             tuning_frequencies(1e-310, V, 3)
-        assert tuning_frequencies(1.0, 5e307, 3)[-1].value == 7.5e307
+        # as for tuned_lengths: n*v overflows from n = 4 on, n*v/(2l) from n = 8
+        assert tuning_frequencies(1.0, 5e307, 7)[-1].value == 1.75e308
         with pytest.raises(ValueError, match="out of float range"):
-            tuning_frequencies(1.0, 5e307, 4)
+            tuning_frequencies(1.0, 5e307, 8)
 
 
 class TestIsTuned:
@@ -103,9 +111,16 @@ class TestIsTuned:
                 is_tuned(500.0, Frequency(300.0), V, bad)
 
     def test_rejects_harmonic_index_out_of_float_range(self):
-        # 2*f*l/v = 2 * 1.5e307 * 500 / 1e155 overflows: round(inf) has no integer
+        # 2*f*l/v = 2 * 1.5e307 * 500 / 1e-5 = 1.5e315: round(inf) has no integer
         with pytest.raises(ValueError, match="out of float range"):
-            is_tuned(500.0, Frequency(1.5e307), 1e155)
+            is_tuned(500.0, Frequency(1.5e307), 1e-5)
+
+    def test_finite_harmonic_index_whose_product_overflows(self):
+        # 2*f*l = 1.5e310 overflows, but 2*f*l/v = 1.5e155 is an integer float
+        tuned, nearest = is_tuned(500.0, Frequency(1.5e307), 1e155)
+        assert tuned
+        assert nearest.n == pytest.approx(1.5e155, rel=1e-15)
+        assert nearest.value == pytest.approx(1.5e307, rel=1e-15)
 
 
 # --- randomized properties -------------------------------------------------
@@ -134,6 +149,25 @@ def test_property_solutions_strictly_increase(length, v, n_max):
         assert [s.n for s in sols] == list(range(1, n_max + 1))
         values = [s.value for s in sols]
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+positive_floats = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@given(a=positive_floats, b=positive_floats, c=positive_floats, e=st.sampled_from([-1, 1]))
+@example(a=1.5e307, b=500.0, c=1e155, e=1)  # 2*f*l overflows; 2*f*l/v = 1.5e155
+@example(a=1.5e307, b=1e-300, c=1e155, e=1)  # l/v underflows; 2*f*l/v = 3e-148
+@example(a=4.0, b=5e307, c=1.0, e=-1)  # n*v overflows; n*v/(2x) = 1e308
+@settings(max_examples=500)
+def test_property_scaled_ratio_has_no_intermediate_overflow_or_underflow(a, b, c, e):
+    # the ratio behind the harmonic index 2*f*l/v and the harmonics n*v/(2x)
+    exact = Fraction(2) ** e * Fraction(a) * Fraction(b) / Fraction(c)
+    got = _scaled_ratio(a, b, c, e)
+    if exact > 2 * Fraction(sys.float_info.max):
+        assert got == math.inf
+    elif sys.float_info.min <= exact <= Fraction(sys.float_info.max) / 2:
+        # two roundings: of the mantissa product and of the quotient
+        assert got == pytest.approx(float(exact), rel=5e-16)
 
 
 @pytest.mark.parametrize("length", [500.0, 300.0])
