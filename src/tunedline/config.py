@@ -29,13 +29,13 @@ Values may carry a unit suffix from the tables below; bare numbers are
 taken in the base unit (km, Hz, V, VAr, W, ohm/km, H/km, S/km, F/km, S,
 F, ohm).  Unit tokens are case-sensitive (m and M differ).  model is one
 of: exact, lossless, pi-cascade, pi-cascade(N).  Numbers are ASCII decimal
-with an optional sign and exponent, finite in base units; each value is
-one `key = value` line, and [DEFAULT] is an unknown section.
+with an optional sign and exponent, finite in base units.  Each line,
+stripped of ASCII blanks, is blank, a ; or # comment, a whole-line [name]
+header or one `key = value` pair; [DEFAULT] is an unknown section.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import re
 import sys
@@ -91,21 +91,35 @@ def _quoted(text: str) -> str:
     return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
-def _read_error(exc: configparser.Error, text: str, origin: str) -> ConfigError:
-    """One line for text that configparser cannot read, built from the
-    error's fields: str(exc) spans lines and echoes names and lines whole."""
-    lineno = getattr(exc, "lineno", None) or exc.errors[0][0]
-    if isinstance(exc, configparser.DuplicateOptionError):
-        what = f"key {_quoted(exc.option)} repeats in section {_quoted(exc.section)}"
-    elif isinstance(exc, configparser.DuplicateSectionError):
-        what = f"section {_quoted(exc.section)} repeats"
-    else:  # a ParsingError, whose fields hold the line's repr
-        line = _quoted(text.split("\n")[lineno - 1])
-        if isinstance(exc, configparser.MissingSectionHeaderError):
-            what = f"{line} comes before the first [section] header"
-        else:
-            what = f"{line} is neither a [section] header nor a key = value line"
-    return ConfigError(f"{origin}: line {lineno}: {what}")
+def _read_sections(text: str, origin: str) -> dict[str, dict[str, str]]:
+    """{section: {key: value}} of INI text, keys lowercased.  Lines end at LF or
+    CRLF; each, stripped of ASCII blanks, must be blank, a ; or # comment, a
+    whole-line [name] header or a key = value pair split at its first =."""
+    sections: dict[str, dict[str, str]] = {}
+    section = None
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        line = raw.strip(" \t")
+        where = f"{origin}: line {lineno}"
+        if not line or line[0] in ";#":
+            continue
+        if len(line) > 2 and line[0] == "[" and line[-1] == "]":
+            name = line[1:-1]
+            if name in sections:
+                raise ConfigError(f"{where}: section {_quoted(name)} repeats")
+            section = sections[name] = {}
+            continue
+        if section is None:
+            raise ConfigError(f"{where}: {_quoted(raw)} comes before the first [section] header")
+        key, eq, value = line.partition("=")
+        key = key.rstrip(" \t").lower()
+        if not (eq and key):
+            raise ConfigError(
+                f"{where}: {_quoted(raw)} is neither a [section] header nor a key = value line"
+            )
+        if key in section:
+            raise ConfigError(f"{where}: key {_quoted(key)} repeats in section {_quoted(name)}")
+        section[key] = value.lstrip(" \t")
+    return sections
 
 
 def _parse_int(text: str, where: str) -> int:
@@ -144,9 +158,9 @@ class _Section:
     """One config section with typed getters; each getter pops its key, so
     the keys left in raw are the unknown ones."""
 
-    def __init__(self, parser: configparser.ConfigParser, name: str, origin: str):
+    def __init__(self, sections: dict[str, dict[str, str]], name: str, origin: str):
         self.name = name
-        self.raw = dict(parser[name])
+        self.raw = sections[name]
         self.origin = origin
 
     def _where(self, key: str) -> str:
@@ -156,8 +170,6 @@ class _Section:
         text = self.raw.pop(key, default)
         if text is None:
             raise ConfigError(f"{self._where(key)} is required")
-        if "\n" in text:  # configparser joins an indented next line onto the value
-            raise ConfigError(f"{self._where(key)}: the value spans lines")
         return text
 
     def get(self, key: str, units: dict[str, float], default: str | None = None) -> float:
@@ -174,23 +186,16 @@ class _Section:
 
 def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
     """Parse config text into a validated SweepConfig."""
-    # "\n" is a default section no [header] can name, so [DEFAULT] is unknown
-    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="\n")
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise _read_error(exc, text, origin) from None
-
+    sections = _read_sections(text, origin)
     required = {"line", "load", "source", "sweep"}
-    present = set(parser.sections())
-    missing = required - present
+    missing = required - sections.keys()
     if missing:
         raise ConfigError(f"{origin}: missing section(s): {', '.join(sorted(missing))}")
-    extras = ", ".join(sorted(present - required))
+    extras = ", ".join(sorted(sections.keys() - required))
     if extras:
         raise ConfigError(f"{origin}: unknown section(s): {_quoted(extras)}")
 
-    line_sec = _Section(parser, "line", origin)
+    line_sec = _Section(sections, "line", origin)
     L, C = line_sec.get("l", _L_PER_KM), line_sec.get("c", _C_PER_KM)
     r, g = line_sec.get("r", _R_PER_KM, default="0"), line_sec.get("g", _G_PER_KM, default="0")
     try:
@@ -200,13 +205,13 @@ def parse_sweep_config(text: str, origin: str = "<config>") -> SweepConfig:
     length = line_sec.get("length", _LENGTH)
     line_sec.check_no_extras()
 
-    load = _parse_load(_Section(parser, "load", origin), origin)
+    load = _parse_load(_Section(sections, "load", origin), origin)
 
-    source_sec = _Section(parser, "source", origin)
+    source_sec = _Section(sections, "source", origin)
     voltage = source_sec.get("voltage", _VOLT)
     source_sec.check_no_extras()
 
-    sweep_sec = _Section(parser, "sweep", origin)
+    sweep_sec = _Section(sections, "sweep", origin)
     f_start = sweep_sec.get("f_start", _FREQ)
     f_end = sweep_sec.get("f_end", _FREQ)
     n_points = sweep_sec.get_int("n_points")

@@ -412,8 +412,8 @@ class TestSweepCommand:
                          id="n_points-5001-digits"),
             pytest.param("model = lossless", f"model = pi-cascade({TOO_MANY_DIGITS})",
                          id="pi_sections-5001-digits"),
-            # text configparser reads, or cannot: names and lines are echoed
-            # cut short, on one line
+            # INI text with a long name, or lines that are no header or pair:
+            # names and lines are echoed cut short, on one line
             pytest.param("length = 500 km", f"length = 500 km\n{LONG_NAME} = 1",
                          id="unknown-key-3000-characters"),
             pytest.param("[source]", f"[{LONG_NAME}]\nx = 1\n\n[source]",
@@ -456,16 +456,30 @@ class TestSweepCommand:
              "[sweep] n_points: '\u0669\u0665\u0661' is not an integer"),
             ("length = 500 km", "length: 500 km",
              "line 10: 'length: 500 km' is neither a [section] header nor a key = value line"),
-            ("length = 500 km", "length = 500\n  km", "[line] length: the value spans lines"),
+            ("length = 500 km", "length = 500\n  km",
+             "line 11: '  km' is neither a [section] header nor a key = value line"),
             ("[line]", "[DEFAULT]\n[line]", "unknown section(s): 'DEFAULT'"),
             ("length = 500 km", "length = 500\u00a0km",
              "[line] length: expected '<number> [unit]', got '500\\xa0km'"),
             ("length = 500 km", "length = 500\u2003km",
              "[line] length: expected '<number> [unit]', got '500\\u2003km'"),
+            # only ASCII blanks are stripped, and only a whole line is a header
+            ("length = 500 km", "length\u00a0= 500 km", "[line] length is required"),
+            ("length = 500 km", "length =\u00a0500 km",
+             "[line] length: expected '<number> [unit]', got '\\xa0500 km'"),
+            ("length = 500 km", "length = 500 km\u00a0",
+             "[line] length: expected '<number> [unit]', got '500 km\\xa0'"),
+            ("length = 500 km", "\u2003length = 500 km", "[line] length is required"),
+            ("[source]", "[source] junk",
+             "line 19: '[source] junk' is neither a [section] header nor a key = value line"),
+            ("[source]", "[source]\n\x0b",
+             "line 20: '\\x0b' is neither a [section] header nor a key = value line"),
         ],
         ids=["underscore", "non-ascii-digits", "inf", "1e999", "1e308-kV",
              "non-ascii-n_points", "colon", "continuation", "default-section",
-             "no-break-space", "em-space"],
+             "no-break-space", "em-space", "no-break-space-after-key",
+             "no-break-space-before-value", "no-break-space-at-line-end", "em-space-indent",
+             "text-after-header", "vertical-tab-line"],
     )
     def test_rejected_spelling_exits_2_naming_the_key(self, capsys, tmp_path, old, new, message):
         text = bundled_config_path("experiment_500km").read_text()
@@ -871,6 +885,12 @@ REJECTED_SPELLINGS = [
     (r"^\[line\]", "[DEFAULT]\n[line]"),
     (r"^(length = .*)", "\\1\u00a0km"),  # a no-break space before the unit
     (r"^(length = .*)", "\\1\u2003km"),  # an em space
+    (r"^length =", "length\u00a0="),  # a no-break space after the key,
+    (r"^length = ", "length =\u00a0"),  # before the value,
+    (r"^(length = .*)", "\\1\u00a0"),  # at the line end,
+    (r"^length", "\u2003length"),  # and an em space before the key
+    (r"^\[source\]", "[source] junk"),  # text after a header
+    (r"^\[sweep\]", "[sweep]\n\x0b"),  # a line that holds only a vertical tab
 ]
 
 

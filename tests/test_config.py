@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import configparser
+import io
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from tunedline.cli import main
 from tunedline.config import (
     ConfigError,
+    _read_sections,
     bundled_config_names,
     bundled_config_path,
     load_sweep_config,
@@ -17,6 +24,7 @@ from tunedline.config import (
     resolve_config_arg,
 )
 from tunedline.reporting import config_digest
+from tunedline.sweep import SweepConfig
 
 GOOD = """
 [line]
@@ -108,13 +116,36 @@ def test_parse_quantity_rejects_values_out_of_float_range(text):
         ("model = lossless", "model = pi-cascade(\u0663\u0667)",
          "[sweep] model must be exact, lossless, pi-cascade or pi-cascade(N), "
          "got 'pi-cascade(\u0663\u0667)'"),
-        ("length = 500 km", "length =\n  500 km", "[line] length: the value spans lines"),
+        ("length = 500 km", "length =\n  500 km",
+         "line 8: '  500 km' is neither a [section] header nor a key = value line"),
         ("[line]", "[DEFAULT]\nmodel = lossless\n[line]", "unknown section(s): 'DEFAULT'"),
         # named once, not wrapped again as a LineParameters error
         ("L = 1.0 mH/km", "L = abc mH/km", "[line] l: 'abc' is not a number"),
+        # the reader's own errors name the line; a key is read in lower case
+        ("[line]", "x = 1\n[line]", "line 2: 'x = 1' comes before the first [section] header"),
+        ("length = 500 km", "length = 500 km\nLength = 400 km",
+         "line 8: key 'length' repeats in section 'line'"),
+        ("[sweep]", "[line]\n[sweep]", "line 19: section 'line' repeats"),
+        # only ASCII blanks are stripped, and only a whole line is a header
+        ("length = 500 km", "length\u00a0= 500 km", "[line] length is required"),
+        ("length = 500 km", "length =\u00a0500 km",
+         "[line] length: expected '<number> [unit]', got '\\xa0500 km'"),
+        ("length = 500 km", "length = 500 km\u00a0",
+         "[line] length: expected '<number> [unit]', got '500 km\\xa0'"),
+        ("length = 500 km", "\u2003length = 500 km", "[line] length is required"),
+        ("[source]", "[source] junk",
+         "line 16: '[source] junk' is neither a [section] header nor a key = value line"),
+        ("[source]", "[source]\n\x0b",
+         "line 17: '\\x0b' is neither a [section] header nor a key = value line"),
+        # indentation by ASCII blanks has no meaning, after a key line too
+        ("L = 1.0 mH/km", "  \tL = 1.0 mH/km", None),
+        ("[load]", "\t[load]", None),
     ],
     ids=["sign", "underscore", "non-ascii-pi-sections", "value-on-next-line", "default-key",
-         "line-constant"],
+         "line-constant", "line-before-header", "repeated-key", "repeated-section",
+         "no-break-space-after-key", "no-break-space-before-value",
+         "no-break-space-at-line-end", "em-space-indent", "text-after-header",
+         "vertical-tab-line", "indented-key-line", "indented-header-line"],
 )
 def test_config_grammar(old, new, message):
     assert old in GOOD
@@ -125,6 +156,115 @@ def test_config_grammar(old, new, message):
     with pytest.raises(ConfigError) as excinfo:
         parse_sweep_config(text, origin="cfg.ini")
     assert str(excinfo.value) == f"cfg.ini: {message}"
+
+
+def configparser_sections(text: str) -> dict[str, dict[str, str]]:
+    """The sections configparser reads from text, set up so that it reads
+    README's grammar on unindented lines: the reference for _read_sections."""
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",), default_section="\n")
+    parser.read_string(text)
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+KNOWN_KEYS = ["r", "l", "g", "c", "length", "kind", "g_load", "c_load", "rated_q", "rated_v",
+              "rated_f", "rated_p", "resistance", "voltage", "f_start", "f_end", "n_points",
+              "model"]
+blanks = st.text(alphabet=" \t", max_size=2)
+
+
+@st.composite
+def grammar_texts(draw) -> str:
+    """INI text in README's grammar with no line indented: headers, known keys
+    in mixed case, ASCII blanks around = and at line ends, values that may
+    hold = ; or #, blank and comment lines, LF or CRLF line ends."""
+    lines = []
+    for name in draw(st.lists(st.sampled_from(["line", "load", "source", "sweep"]),
+                              unique=True)):
+        lines.append(f"[{name}]{draw(blanks)}")
+        for key in draw(st.lists(st.sampled_from(KNOWN_KEYS), unique=True, max_size=4)):
+            key = "".join(c.upper() if draw(st.booleans()) else c for c in key)
+            value = draw(st.text(alphabet="05.e+- kmHzV=;#", max_size=8)).strip(" ")
+            lines.append(f"{key}{draw(blanks)}={draw(blanks)}{value}{draw(blanks)}")
+            lines.extend(draw(st.lists(st.sampled_from(["", " \t", "; note", "# a = b"]),
+                                       max_size=2)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+@given(text=grammar_texts())
+@example(text=bundled_config_path("experiment_500km").read_text())
+@settings(max_examples=300)
+def test_property_read_sections_equals_configparser_on_the_grammar(text):
+    assert _read_sections(text, "cfg.ini") == configparser_sections(text)
+
+
+def test_crlf_line_ends_parse_as_lf():
+    for name in bundled_config_names():
+        text = bundled_config_path(name).read_text()
+        assert "\r" not in text
+        assert parse_sweep_config(text.replace("\n", "\r\n")) == parse_sweep_config(text)
+
+
+BUNDLED_500KM = bundled_config_path("experiment_500km").read_text()
+# all 29 characters str.isspace() accepts, ASCII and Unicode; the last is U+3000
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+
+@st.composite
+def mutated_bundled_texts(draw) -> str:
+    """The bundled 500 km text after one to three edits: a line dropped,
+    duplicated or indented, a header repeated, the text emptied, or one
+    ASCII or Unicode whitespace character inserted anywhere."""
+    text = BUNDLED_500KM
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        lines = text.split("\n")
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "indent", "header", "empty", "insert"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif edit == "indent":
+            lines[i] = draw(st.sampled_from(WHITESPACE)) + lines[i]
+        elif edit == "header":
+            lines.insert(i, draw(st.sampled_from(["[line]", "[load]", "[source]", "[sweep]"])))
+        elif edit == "empty":
+            lines = [""]
+        text = "\n".join(lines)
+        if edit == "insert":
+            at = draw(st.integers(min_value=0, max_value=len(text)))
+            text = text[:at] + draw(st.sampled_from(WHITESPACE)) + text[at:]
+    return text
+
+
+@given(text=mutated_bundled_texts())
+@example(text="")
+@example(text=BUNDLED_500KM.replace("[sweep]", "[sweep]\n[sweep]"))
+@example(text=BUNDLED_500KM.replace("length", "\u2003length"))
+@settings(max_examples=500)
+def test_property_mutated_ini_text_parses_or_raises_one_line_config_error(text):
+    try:
+        assert type(parse_sweep_config(text, origin="cfg.ini")) is SweepConfig
+    except ConfigError as exc:  # any other exception fails the test
+        assert str(exc).startswith("cfg.ini: ")
+        assert str(exc).splitlines() == [str(exc)]
+
+
+@given(text=mutated_bundled_texts())
+@settings(max_examples=25, deadline=None)
+def test_property_mutated_ini_text_solve_exits_0_2_or_3(tmp_path_factory, text):
+    cfg_file = tmp_path_factory.mktemp("mutated") / "mutated.ini"
+    cfg_file.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["solve", "--config", str(cfg_file), "--frequency", "300"])
+    # 0 with no error, 2 a rejected config, 3 a singular point; never 1, a traceback
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_admittance_load_kind():

@@ -106,7 +106,7 @@ def test_cli_import_loads_no_dataclass_machinery():
                           check=True)
     loaded = set(proc.stdout.split())
     assert "tunedline.cli" in loaded
-    assert not loaded & {"dataclasses", "datetime", "inspect", "ast", "dis"}
+    assert not loaded & {"dataclasses", "datetime", "inspect", "ast", "dis", "configparser"}
 
 
 def test_cli_import_loads_no_typing_or_importlib_resources():
