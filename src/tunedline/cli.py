@@ -130,6 +130,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if record.singular:
         raise ResonanceError(f"line-load resonance at f = {frequency} Hz")
     report = json.dumps(record._asdict(), indent=2)
+    # written before anything is printed, so a failed write (exit 4) prints nothing
+    if args.out:
+        with open_atomic(args.out) as fh:
+            fh.write(report + "\n")
     if args.format == "json":
         print(report)
     else:
@@ -142,9 +146,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"|Vs|     = {vs_kv:.6g} kV (line-to-line)")
         print(f"|Vr|     = {vr_kv:.6g} kV")
         print(f"delta_v  = {delta_v:.6g}")
-    if args.out:
-        with open_atomic(args.out) as fh:
-            fh.write(report + "\n")
     return 0
 
 

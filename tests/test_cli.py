@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bad_configs import BY_ID, LONG_NAME, ROWS, SPELLINGS, BadConfig, edited, load_edit
 from conftest import (
     plot_data_per_cell,
     records_csv_per_cell,
@@ -33,95 +34,63 @@ from tunedline.config import bundled_config_path, load_sweep_config
 from tunedline.reporting import CSV_FIELDS, dips_report_json
 from tunedline.sweep import SweepRecord, TuningDipWindow
 
-RESONANT_CONFIG = """
-[line]
-L = 1.0 mH/km
-C = 1.1111111111111112e-08 F/km
-length = 500 km
+RESONANT_LOAD = load_edit(f"kind = admittance\nc_load = {1.0 / (300.0 * 2.0 * math.pi * 75.0)!r} F")
+# the configs whose sweep outputs pinned_outputs.json pins: edits of the bundled text
+PINNED_CONFIGS = {
+    "resonant-lossless": [RESONANT_LOAD],
+    "resonant-exact": [RESONANT_LOAD, (r"^model = .*", "model = exact")],
+    "resonant-pi-cascade-37": [RESONANT_LOAD, (r"^model = .*", "model = pi-cascade(37)")],
+    "two-points": [(r"^n_points = .*", "n_points = 2")],
+}
+PINNED_OUTPUTS = json.loads((Path(__file__).parent / "pinned_outputs.json").read_text())
+# the bundled 500 km line loaded by a pure capacitor that resonates with it at 75 Hz
+RESONANT_CONFIG = edited(PINNED_CONFIGS["resonant-lossless"])
 
-[load]
-kind = admittance
-c_load = {c_load!r} F
+# The table rows that the older test names below run, kept so that their
+# test ids stay: the sweeps that fail part-way (and one config whose pi
+# section rounds to 0 km), the non-finite or unreadable values, and the
+# out-of-range ratings.  test_rejected_spelling_exits_2_naming_the_key runs
+# every other row.
+FLOAT_RANGE_IDS = ["exact", "pi-cascade", "infinite-angle", "section-length-underflow",
+                   "three-phase-overflow", "exact-later-chunk", "harmonic-index-overflow"]
+NON_FINITE_IDS = [
+    "voltage = 220 kV-voltage = nan kV", "voltage = 220 kV-voltage = inf kV", "n_points-huge",
+    "rated_p = 100 MW-rated_p = nan MW", "f_end = 1000 Hz-f_end = inf Hz", "pi_sections-huge",
+    "LC-underflow", "n_points-5001-digits", "pi_sections-5001-digits", "line-without-equals",
+    "unknown-key-3000-characters", "unknown-section-3000-characters", "line-before-first-header",
+    "duplicate-key-3000-characters", "indented-line-after-header"]
+RATING_IDS = [row.id for row in ROWS if row.error.endswith("give a load out of float range")]
+OTHER_IDS = [row.id for row in ROWS if row.id not in {
+    *FLOAT_RANGE_IDS, *NON_FINITE_IDS, *RATING_IDS,
+    "malformed", "non-utf8", "degenerate-grid", "zero-pi-sections",
+}]
 
-[source]
-voltage = 220 kV
 
-[sweep]
-f_start = 50 Hz
-f_end = 1000 Hz
-n_points = 951
-model = lossless
-""".format(c_load=1.0 / (300.0 * 2.0 * math.pi * 75.0))
+def table_rows(ids: list[str]) -> list:
+    return [pytest.param(BY_ID[i], id=i) for i in ids]
 
 
-# A 2000 km line far into its stopband: the exact model's cosh overflows
-# at 2400 Hz, and the lossless pi-cascade(100) product overflows to
-# inf/nan above 12500 Hz (its 12500 Hz row is still finite).
-STOPBAND_CONFIG = """
-[line]
-r = {r} ohm/km
-L = 5 mH/km
-C = 50 nF/km
-length = 2000 km
-
-[load]
-kind = admittance
-g_load = 1 mS
-
-[source]
-voltage = 220 kV
-
-[sweep]
-f_start = {f_start} Hz
-f_end = {f_end} Hz
-n_points = 3
-model = {model}
-"""
-# what each OVERFLOW_CASES run prints, formatted with its config file and frequency
-FLOAT_RANGE_ERROR = "error: solution out of float range at f = {frequency} Hz\n"
-OVERFLOW_CASES = [
-    pytest.param(
-        STOPBAND_CONFIG.format(r=500, f_start=2400, f_end=2500, model="exact"), 2400.0,
-        FLOAT_RANGE_ERROR, id="exact",
-    ),
-    pytest.param(
-        STOPBAND_CONFIG.format(r=0, f_start=12500, f_end=25000, model="pi-cascade(100)"),
-        18750.0, FLOAT_RANGE_ERROR, id="pi-cascade",
-    ),
-    # 2*pi*f overflows to inf at 5e307 Hz, and math.cos(inf) raises ValueError
-    pytest.param(
-        STOPBAND_CONFIG.format(r=0, f_start=50, f_end=1e308, model="lossless"), 5e307,
-        FLOAT_RANGE_ERROR, id="infinite-angle",
-    ),
-    # length / N rounds to 0 km (5e-324 / 2 == 0.0): a zero-length section
-    # is no line, so the config is rejected before any point is solved
-    pytest.param(
-        bundled_config_path("experiment_500km").read_text()
-        .replace("length = 500 km", "length = 5e-324 km")
-        .replace("model = lossless", "model = pi-cascade(2)"),
-        50.0,
-        "error: {cfg_file}: length / pi_sections underflows to a zero-length section\n",
-        id="section-length-underflow",
-    ),
-    # the tuned row's per-phase cells are finite (p_r = 7.5e307 W), and
-    # its three-phase p_r*3 would overflow to an inf cell
-    pytest.param(
-        STOPBAND_CONFIG.replace("L = 5 mH/km", "L = 1.0 mH/km")
-        .replace("C = 50 nF/km", "C = 1.1111111111111112e-08 F/km")
-        .replace("length = 2000 km", "length = 500 km")
-        .replace("g_load = 1 mS", "g_load = 1 S")
-        .replace("voltage = 220 kV", "voltage = 1.5e154 V")
-        .format(r=0, f_start=299, f_end=301, model="lossless"),
-        300.0, FLOAT_RANGE_ERROR, id="three-phase-overflow",
-    ),
-]
-
-# 1 followed by 400 zeros: an int that float() cannot hold
-HUGE_INT = 10**400
-# 1 followed by 5000 zeros: more digits than int() accepts (4300 by default)
-TOO_MANY_DIGITS = "1" + "0" * 5000
-# a key, section name or line of 3000 characters
-LONG_NAME = "k" * 3000
+def assert_cli_rejects(capsys, tmp_path, row: BadConfig, commands=("sweep", "solve")) -> None:
+    """`sweep` and `solve` on row's config exit row.code with row's error line
+    and no stdout.  A config error leaves no output directory; a sweep that
+    fails part-way leaves an empty one, also in a process of its own."""
+    cfg_file = row.write(tmp_path / "bad.ini")
+    error = row.stderr(cfg_file)
+    assert len(error) < len(f"error: {cfg_file}: ") + 150
+    out = tmp_path / "out"
+    argv = {"sweep": ["sweep", "--out", str(out), "--format", "json", "--plot-data"],
+            "solve": ["solve", "--frequency", repr(row.frequency)]}
+    for command in commands:
+        assert main([*argv[command], "--config", str(cfg_file)]) == row.code
+        assert capsys.readouterr() == ("", error)
+    if row.parser_rejects or "sweep" not in commands:
+        assert not out.exists()
+        return
+    assert list(out.iterdir()) == []
+    proc = subprocess.run([sys.executable, "-m", "tunedline", *argv["sweep"], "--config",
+                           str(cfg_file)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (row.code, "", error)
+    assert list(out.iterdir()) == []
 
 
 class TestTuningCommand:
@@ -231,6 +200,17 @@ class TestSolveCommand:
         row = json.loads(report.read_text())
         assert row["f_hz"] == 150.0
 
+    def test_out_directory_exits_4_before_printing(self, capsys, tmp_path):
+        report = tmp_path / "report"
+        report.mkdir()
+        assert main(["solve", "--config", "experiment_500km", "--frequency", "150",
+                     "--out", str(report)]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: [Errno 21] Is a directory: '{report}.partial' -> '{report}'\n"
+        )
+        assert list(tmp_path.iterdir()) == [report]
+        assert list(report.iterdir()) == []
+
     def test_singular_point_exits_3(self, capsys, tmp_path):
         cfg_file = tmp_path / "resonant.ini"
         cfg_file.write_text(RESONANT_CONFIG)
@@ -239,9 +219,7 @@ class TestSolveCommand:
         assert "singular" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, capsys, tmp_path):
-        cfg_file = tmp_path / "broken.ini"
-        cfg_file.write_text("[line]\nL = banana\n")
-        assert main(["solve", "--config", str(cfg_file), "--frequency", "50"]) == 2
+        assert_cli_rejects(capsys, tmp_path, BY_ID["malformed"])
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["solve", "--config", "nope.ini", "--frequency", "50"]) == 2
@@ -262,14 +240,9 @@ class TestSolveCommand:
         assert main(["solve", "--config", "experiment_500km", "--frequency", frequency]) == 2
         assert "frequency" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text, frequency, error", OVERFLOW_CASES)
-    def test_overflow_exits_2(self, capsys, tmp_path, text, frequency, error):
-        cfg_file = tmp_path / "stopband.ini"
-        cfg_file.write_text(text)
-        assert main(["solve", "--config", str(cfg_file), "--frequency", str(frequency)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == error.format(cfg_file=cfg_file, frequency=frequency)
+    @pytest.mark.parametrize("row", table_rows(FLOAT_RANGE_IDS))
+    def test_overflow_exits_2(self, capsys, tmp_path, row):
+        assert_cli_rejects(capsys, tmp_path, row, ["solve"])
 
     def test_solve_matches_sweep_row(self, capsys):
         # solve is a one-point sweep: its report is the sweep's CSV row
@@ -325,6 +298,20 @@ class TestSweepCommand:
         out = tmp_path / name
         assert main(["sweep", "--config", name, "--out", str(out)]) == 0
         assert hashlib.sha256((out / "records.csv").read_bytes()).hexdigest() == golden
+
+    @pytest.mark.parametrize("name, edits", PINNED_CONFIGS.items())
+    def test_outputs_match_pinned_hashes(self, capsys, tmp_path, name, edits):
+        # the exit code, stdout and sha-256 of every output of sweep --format json
+        # --plot-data; the bundled sweeps' records.csv hashes are in perfbench/golden.json
+        cfg_file = tmp_path / "pinned.ini"
+        cfg_file.write_text(edited(edits))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_file), "--out", str(out), "--format", "json",
+                     "--plot-data"])
+        outputs = [Path(p) for p in json.loads((out / "manifest.json").read_text())["outputs"]]
+        entry = {"exit_code": code, "stdout": capsys.readouterr().out.replace(str(out), "<out>"),
+                 "sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in outputs}}
+        assert entry == PINNED_OUTPUTS.get(name), json.dumps({name: entry}, indent=2)
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         outs = []
@@ -393,104 +380,13 @@ class TestSweepCommand:
             assert len(dat) == 1 + 951 - 1
             assert 75.0 not in [float(line.split()[0]) for line in dat[1:]]
 
-    @pytest.mark.parametrize(
-        "old, new",
-        [
-            ("voltage = 220 kV", "voltage = nan kV"),
-            ("voltage = 220 kV", "voltage = inf kV"),
-            ("rated_p = 100 MW", "rated_p = nan MW"),
-            ("f_end = 1000 Hz", "f_end = inf Hz"),
-            # ints beyond the float range, and an L*C that underflows to 0
-            pytest.param("n_points = 951", f"n_points = {HUGE_INT}", id="n_points-huge"),
-            pytest.param("model = lossless", f"model = pi-cascade({HUGE_INT})",
-                         id="pi_sections-huge"),
-            pytest.param("L = 1.0 mH/km\ng = 0 S/km\nC = 1.1111111111111112e-08 F/km",
-                         "L = 1e-200 H/km\ng = 0 S/km\nC = 1e-200 F/km", id="LC-underflow"),
-            # ints int() refuses to read: the error names the file and the
-            # digit count instead of echoing 5001 digits
-            pytest.param("n_points = 951", f"n_points = {TOO_MANY_DIGITS}",
-                         id="n_points-5001-digits"),
-            pytest.param("model = lossless", f"model = pi-cascade({TOO_MANY_DIGITS})",
-                         id="pi_sections-5001-digits"),
-            # INI text with a long name, or lines that are no header or pair:
-            # names and lines are echoed cut short, on one line
-            pytest.param("length = 500 km", f"length = 500 km\n{LONG_NAME} = 1",
-                         id="unknown-key-3000-characters"),
-            pytest.param("[source]", f"[{LONG_NAME}]\nx = 1\n\n[source]",
-                         id="unknown-section-3000-characters"),
-            pytest.param("length = 500 km", f"length = 500 km\n{LONG_NAME} = 1\n{LONG_NAME} = 2",
-                         id="duplicate-key-3000-characters"),
-            pytest.param("[line]", f"{LONG_NAME}\n[line]", id="line-before-first-header"),
-            pytest.param("[source]", "[source]\njunk without equals", id="line-without-equals"),
-            pytest.param("[source]", "[source]\n  indented continuation",
-                         id="indented-line-after-header"),
-        ],
-    )
-    def test_non_finite_input_exits_2_without_output(self, capsys, tmp_path, old, new):
-        text = bundled_config_path("experiment_500km").read_text()
-        assert old in text
-        cfg_file = tmp_path / "bad.ini"
-        cfg_file.write_text(text.replace(old, new))
-        out = tmp_path / "out"
-        for argv in (["sweep", "--out", str(out)], ["solve", "--frequency", "300"]):
-            assert main([*argv, "--config", str(cfg_file)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(f"error: {cfg_file}: ")
-            assert captured.err.count("\n") == 1
-            assert len(captured.err) < len(f"error: {cfg_file}: ") + 150
-        assert not out.exists()
+    @pytest.mark.parametrize("row", table_rows(NON_FINITE_IDS))
+    def test_non_finite_input_exits_2_without_output(self, capsys, tmp_path, row):
+        assert_cli_rejects(capsys, tmp_path, row)
 
-    @pytest.mark.parametrize(
-        "old, new, message",
-        [
-            ("length = 500 km", "length = 1_000 km", "[line] length: '1_000' is not a number"),
-            ("length = 500 km", "length = \u0665\u0660\u0660 km",
-             "[line] length: '\u0665\u0660\u0660' is not a number"),
-            ("length = 500 km", "length = inf km", "[line] length: 'inf' is not a number"),
-            ("length = 500 km", "length = 1e999 km",
-             "[line] length: '1e999 km' is out of float range"),
-            ("voltage = 220 kV", "voltage = 1e308 kV",
-             "[source] voltage: '1e308 kV' is out of float range"),
-            ("n_points = 951", "n_points = \u0669\u0665\u0661",
-             "[sweep] n_points: '\u0669\u0665\u0661' is not an integer"),
-            ("length = 500 km", "length: 500 km",
-             "line 10: 'length: 500 km' is neither a [section] header nor a key = value line"),
-            ("length = 500 km", "length = 500\n  km",
-             "line 11: '  km' is neither a [section] header nor a key = value line"),
-            ("[line]", "[DEFAULT]\n[line]", "unknown section(s): 'DEFAULT'"),
-            ("length = 500 km", "length = 500\u00a0km",
-             "[line] length: expected '<number> [unit]', got '500\\xa0km'"),
-            ("length = 500 km", "length = 500\u2003km",
-             "[line] length: expected '<number> [unit]', got '500\\u2003km'"),
-            # only ASCII blanks are stripped, and only a whole line is a header
-            ("length = 500 km", "length\u00a0= 500 km", "[line] length is required"),
-            ("length = 500 km", "length =\u00a0500 km",
-             "[line] length: expected '<number> [unit]', got '\\xa0500 km'"),
-            ("length = 500 km", "length = 500 km\u00a0",
-             "[line] length: expected '<number> [unit]', got '500 km\\xa0'"),
-            ("length = 500 km", "\u2003length = 500 km", "[line] length is required"),
-            ("[source]", "[source] junk",
-             "line 19: '[source] junk' is neither a [section] header nor a key = value line"),
-            ("[source]", "[source]\n\x0b",
-             "line 20: '\\x0b' is neither a [section] header nor a key = value line"),
-        ],
-        ids=["underscore", "non-ascii-digits", "inf", "1e999", "1e308-kV",
-             "non-ascii-n_points", "colon", "continuation", "default-section",
-             "no-break-space", "em-space", "no-break-space-after-key",
-             "no-break-space-before-value", "no-break-space-at-line-end", "em-space-indent",
-             "text-after-header", "vertical-tab-line"],
-    )
-    def test_rejected_spelling_exits_2_naming_the_key(self, capsys, tmp_path, old, new, message):
-        text = bundled_config_path("experiment_500km").read_text()
-        assert old in text
-        cfg_file = tmp_path / "spelling.ini"
-        cfg_file.write_text(text.replace(old, new))
-        out = tmp_path / "out"
-        for argv in (["sweep", "--out", str(out)], ["solve", "--frequency", "300"]):
-            assert main([*argv, "--config", str(cfg_file)]) == 2
-            assert capsys.readouterr() == ("", f"error: {cfg_file}: {message}\n")
-        assert not out.exists()
+    @pytest.mark.parametrize("row", table_rows(OTHER_IDS))
+    def test_rejected_spelling_exits_2_naming_the_key(self, capsys, tmp_path, row):
+        assert_cli_rejects(capsys, tmp_path, row)
 
     @pytest.mark.parametrize(
         "config",
@@ -511,107 +407,40 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_non_utf8_config_exits_2_naming_the_file(self, capsys, tmp_path):
-        cfg_file = tmp_path / "bom.ini"
-        cfg_file.write_bytes(b"\xff\xfe" + bundled_config_path("experiment_500km").read_bytes())
-        out = tmp_path / "out"
-        for argv in (["sweep", "--out", str(out)], ["solve", "--frequency", "300"]):
-            assert main([*argv, "--config", str(cfg_file)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("error: ")
-            assert str(cfg_file) in captured.err
-            assert captured.err.count("\n") == 1
-            assert len(captured.err) < len(f"error: {cfg_file}: ") + 150
-        assert not out.exists()
+        assert_cli_rejects(capsys, tmp_path, BY_ID["non-utf8"])
 
-    @pytest.mark.parametrize("text, frequency, error", OVERFLOW_CASES)
-    def test_overflow_exits_2_without_output(self, capsys, tmp_path, text, frequency, error):
-        cfg_file = tmp_path / "stopband.ini"
-        cfg_file.write_text(text)
-        out = tmp_path / "out"
-        proc = subprocess.run(
-            [sys.executable, "-m", "tunedline", "sweep", "--config", str(cfg_file),
-             "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr == error.format(cfg_file=cfg_file, frequency=frequency)
-        assert not (out / "records.csv").exists()
+    @pytest.mark.parametrize("row", table_rows(FLOAT_RANGE_IDS))
+    def test_overflow_exits_2_without_output(self, capsys, tmp_path, row):
+        assert_cli_rejects(capsys, tmp_path, row, ["sweep"])
 
     def test_degenerate_grid_exits_2_without_output(self, capsys, tmp_path):
-        text = bundled_config_path("experiment_500km").read_text()
-        cfg_file = tmp_path / "degenerate.ini"
-        cfg_file.write_text(text.replace("f_end = 1000 Hz", "f_end = 50.000000000001 Hz"))
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
-        assert "ulp(f_end)" in capsys.readouterr().err
-        assert not (out / "records.csv").exists()
+        assert_cli_rejects(capsys, tmp_path, BY_ID["degenerate-grid"])
 
-    @pytest.mark.parametrize(
-        "rated_v, rated_p",
-        [
-            ("0 kV", "rated_p = 100 MW"),  # rated_p / 0
-            ("1e-200 V", "rated_p = 100 MW"),  # rated_v**2 underflows to 0
-            ("1e200 V", "rated_p = 100 MW"),  # rated_v**2 overflows
-            ("1e200 V", ""),  # rated_v**2 overflows in the capacitor sizing
-            ("1e154 V", "rated_p = 100 MW"),  # 2*pi*f*rated_v**2 overflows: C = 0
-            ("1e154 V", ""),  # 2*pi*f*rated_v**2 overflows: C = 0
-        ],
-    )
-    def test_out_of_range_rating_exits_2_without_output(self, capsys, tmp_path, rated_v,
-                                                        rated_p):
-        text = bundled_config_path("experiment_500km").read_text()
-        assert "rated_v = 220 kV" in text and "rated_p = 100 MW" in text
-        cfg_file = tmp_path / "rating.ini"
-        cfg_file.write_text(
-            text.replace("rated_v = 220 kV", f"rated_v = {rated_v}")
-            .replace("rated_p = 100 MW", rated_p)
-        )
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg_file}: [load]: ratings give a load out of float range\n"
-        )
-        assert not out.exists()
+    @pytest.mark.parametrize("row", table_rows(RATING_IDS))
+    def test_out_of_range_rating_exits_2_without_output(self, capsys, tmp_path, row):
+        assert_cli_rejects(capsys, tmp_path, row)
 
     def test_zero_pi_sections_exits_2_without_output(self, capsys, tmp_path):
-        text = bundled_config_path("experiment_500km").read_text()
-        cfg_file = tmp_path / "pi0.ini"
-        cfg_file.write_text(text.replace("model = lossless", "model = pi-cascade(0)"))
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {cfg_file}: pi_sections must be at least 1\n"
-        )
-        assert not out.exists()
+        assert_cli_rejects(capsys, tmp_path, BY_ID["zero-pi-sections"])
 
     def test_two_points_write_rows_and_no_dips(self, capsys, tmp_path):
         # fewer than 3 usable rows: no dip can be located, and that is not an error
-        text = bundled_config_path("experiment_500km").read_text()
         cfg_file = tmp_path / "two.ini"
-        cfg_file.write_text(text.replace("n_points = 951", "n_points = 2"))
+        cfg_file.write_text(edited(PINNED_CONFIGS["two-points"]))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert [row[0] for row in read_records_csv(out / "records.csv")] == [50.0, 1000.0]
         assert json.loads((out / "dips.json").read_text()) == []
         assert "tuning dips: 0 matched, 0 unmatched" in capsys.readouterr().out
 
-    @staticmethod
-    def _fast_line_config(tmp_path, L_and_C: str) -> Path:
-        """A lossy exact line of L = C per km swept at 1e307-2e307 Hz."""
-        cfg_file = tmp_path / "fast.ini"
-        cfg_file.write_text(
-            f"[line]\nr = 0.03 ohm/km\nL = {L_and_C} H/km\ng = 1e-9 S/km\nC = {L_and_C} F/km\n"
-            "length = 500 km\n[load]\nkind = admittance\ng_load = 1 mS\n"
-            "[source]\nvoltage = 220 kV\n"
-            "[sweep]\nf_start = 1e307 Hz\nf_end = 2e307 Hz\nn_points = 7\nmodel = exact\n"
-        )
-        return cfg_file
-
     def test_dips_whose_harmonic_product_overflows_are_matched(self, capsys, tmp_path):
         # v = 1/sqrt(LC) ~ 1e155 km/s: at 1e307 Hz, 2*f*length overflows to inf
         # while 2*f*length/v ~ 1e155 is a finite harmonic index
-        cfg_file = self._fast_line_config(tmp_path, "1e-155")
+        # the line of the table row harmonic-index-overflow with L = C = 1e-155 per km
+        cfg_file = tmp_path / "fast.ini"
+        fast_line = edited(BY_ID["harmonic-index-overflow"].edits)
+        L_and_C = [(r"^L = .*", "L = 1e-155 H/km"), (r"^C = .*", "C = 1e-155 F/km")]
+        cfg_file.write_text(edited(L_and_C, fast_line))
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert "tuning dips: 2 matched, 0 unmatched" in capsys.readouterr().out
@@ -625,15 +454,9 @@ class TestSweepCommand:
 
     def test_dips_whose_harmonic_index_overflows_are_unmatched(self, capsys, tmp_path):
         # v = 10 km/s: at 1e307 Hz, 2*f*length/v = 1e309 overflows, and so
-        # does beta*length = pi*2*f*length/v: the sweep stops at its first point
-        cfg_file = self._fast_line_config(tmp_path, "0.1")
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 2
-        assert capsys.readouterr() == (
-            "", "error: solution out of float range at f = 1e+307 Hz\n"
-        )
-        assert not (out / "records.csv").exists()
-        # so only hand-made records reach the dip window with such an index
+        # does beta*length = pi*2*f*length/v: such a sweep stops at its first
+        # point (the table row harmonic-index-overflow), so only hand-made
+        # records reach the dip window with such an index
         records = [SweepRecord(f, 1.0, 1.0, q, 220.0, 220.0, 1.0, False)
                    for f, q in [(1e307, 2.0), (1.5e307, 1.0), (2e307, 2.0)]]
         window = TuningDipWindow(500.0, 10.0)
@@ -747,14 +570,10 @@ class TestSweepOutputSet:
 
 def grid_config(tmp_path, text: str, f_start: float, f_end: float, n_points: int):
     """text (a config on the bundled 50-1000 Hz, 951-point grid) on another grid."""
-    for line in ("f_start = 50 Hz", "f_end = 1000 Hz", "n_points = 951"):
-        assert line in text
     path = tmp_path / f"grid-{f_start!r}-{f_end!r}-{n_points}.ini"
-    path.write_text(
-        text.replace("f_start = 50 Hz", f"f_start = {f_start!r} Hz")
-        .replace("f_end = 1000 Hz", f"f_end = {f_end!r} Hz")
-        .replace("n_points = 951", f"n_points = {n_points}")
-    )
+    path.write_text(edited([(r"^f_start = 50 Hz$", f"f_start = {f_start!r} Hz"),
+                            (r"^f_end = 1000 Hz$", f"f_end = {f_end!r} Hz"),
+                            (r"^n_points = 951$", f"n_points = {n_points}")], text))
     return path
 
 
@@ -822,19 +641,8 @@ class TestSweepStreaming:
                                                        chunk):
         # 100..2500 Hz in 100 Hz steps: rows up to 1700 Hz are finite, so with
         # chunks of 7 or fewer the overflow comes after whole chunks were written
-        cfg_file = tmp_path / "stopband.ini"
-        cfg_file.write_text(
-            STOPBAND_CONFIG.format(r=500, f_start=100, f_end=2500, model="exact")
-            .replace("n_points = 3", "n_points = 25")
-        )
         monkeypatch.setattr(cli, "CHUNK_POINTS", chunk)
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(cfg_file), "--out", str(out),
-                     "--format", "json", "--plot-data"]) == 2
-        assert capsys.readouterr().err == (
-            "error: solution out of float range at f = 1800.0 Hz\n"
-        )
-        assert list(out.iterdir()) == []
+        assert_cli_rejects(capsys, tmp_path, BY_ID["exact-later-chunk"], ["sweep"])
 
     def test_peak_memory_does_not_grow_with_n_points(self, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(cli, "CHUNK_POINTS", 256)
@@ -870,34 +678,10 @@ def scaled(draw, base: float) -> str:
     return f"{mantissa}e{int(exponent) + draw(decades)}"
 
 
-# spellings the parser rejects, as (pattern, replacement) on one line of
-# extreme_config_texts' text; float(), int() or configparser read each of them
-REJECTED_SPELLINGS = [
-    (r"^(length = [0-9]\.[0-9])", r"\1_"),  # 5.0_00000e+02
-    (r"^n_points = [0-9]+",
-     lambda m: m[0].translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
-                                                          "\u0665\u0666\u0667\u0668\u0669"))),
-    (r"^voltage = .*", "voltage = nan"),
-    (r"^voltage = .*", "voltage = inf"),
-    (r"^f_end = .*", "f_end = Infinity"),
-    (r"^length = ", "length: "),
-    (r"^length = ", "length =\n  "),
-    (r"^\[line\]", "[DEFAULT]\n[line]"),
-    (r"^(length = .*)", "\\1\u00a0km"),  # a no-break space before the unit
-    (r"^(length = .*)", "\\1\u2003km"),  # an em space
-    (r"^length =", "length\u00a0="),  # a no-break space after the key,
-    (r"^length = ", "length =\u00a0"),  # before the value,
-    (r"^(length = .*)", "\\1\u00a0"),  # at the line end,
-    (r"^length", "\u2003length"),  # and an em space before the key
-    (r"^\[source\]", "[source] junk"),  # text after a header
-    (r"^\[sweep\]", "[sweep]\n\x0b"),  # a line that holds only a vertical tab
-]
-
-
 @st.composite
 def extreme_config_texts(draw, n_points=st.integers(min_value=2, max_value=10) | huge_ints):
     """(text, rejected): config text, each number a bundled value scaled by
-    10**k, and whether one of REJECTED_SPELLINGS was applied to it.
+    10**k, and whether one of bad_configs.SPELLINGS was applied to it.
 
     The parser accepts the text when rejected is false.  A value that
     leaves the float range (1e400) is left in: the parser rejects it,
@@ -927,11 +711,10 @@ def extreme_config_texts(draw, n_points=st.integers(min_value=2, max_value=10) |
         f"model = {model}\n"
     )
     # one config in four carries a rejected spelling
-    spelling = draw(st.sampled_from([None] * (3 * len(REJECTED_SPELLINGS)) + REJECTED_SPELLINGS))
+    spelling = draw(st.sampled_from([None] * (3 * len(SPELLINGS)) + SPELLINGS))
     if spelling is None:
         return text, False
-    pattern, replacement = spelling
-    return re.sub(pattern, replacement, text, count=1, flags=re.MULTILINE), True
+    return edited(spelling.edits, text), True
 
 
 @given(case=extreme_config_texts(), frequency=scaled(300.0))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bad_configs import BY_ID, ROWS, BadConfig, edited, load_edit
 from tunedline.cli import main
 from tunedline.config import (
     ConfigError,
@@ -26,30 +27,8 @@ from tunedline.config import (
 from tunedline.reporting import config_digest
 from tunedline.sweep import SweepConfig
 
-GOOD = """
-[line]
-r = 0 ohm/km
-L = 1.0 mH/km
-g = 0 S/km
-C = 11.111111111111112 nF/km
-length = 500 km
-
-[load]
-kind = fixed-capacitance-rated
-rated_q = 100 MVAr
-rated_v = 220 kV
-rated_f = 50 Hz
-rated_p = 100 MW
-
-[source]
-voltage = 220 kV
-
-[sweep]
-f_start = 50 Hz
-f_end = 1 kHz
-n_points = 951
-model = lossless
-"""
+# the bundled 500 km text, with C in nF/km and f_end in kHz
+GOOD = edited([(r"^C = .*", "C = 11.111111111111112 nF/km"), (r"^f_end = .*", "f_end = 1 kHz")])
 
 
 def test_parse_good_config():
@@ -108,54 +87,40 @@ def test_parse_quantity_rejects_values_out_of_float_range(text):
         parse_quantity(text, {"Hz": 1.0, "kHz": 1e3}, where="x")
 
 
-@pytest.mark.parametrize(
-    "old, new, message",
-    [
-        ("n_points = 951", "n_points = +951", None),
-        ("n_points = 951", "n_points = 9_51", "[sweep] n_points: '9_51' is not an integer"),
-        ("model = lossless", "model = pi-cascade(\u0663\u0667)",
-         "[sweep] model must be exact, lossless, pi-cascade or pi-cascade(N), "
-         "got 'pi-cascade(\u0663\u0667)'"),
-        ("length = 500 km", "length =\n  500 km",
-         "line 8: '  500 km' is neither a [section] header nor a key = value line"),
-        ("[line]", "[DEFAULT]\nmodel = lossless\n[line]", "unknown section(s): 'DEFAULT'"),
-        # named once, not wrapped again as a LineParameters error
-        ("L = 1.0 mH/km", "L = abc mH/km", "[line] l: 'abc' is not a number"),
-        # the reader's own errors name the line; a key is read in lower case
-        ("[line]", "x = 1\n[line]", "line 2: 'x = 1' comes before the first [section] header"),
-        ("length = 500 km", "length = 500 km\nLength = 400 km",
-         "line 8: key 'length' repeats in section 'line'"),
-        ("[sweep]", "[line]\n[sweep]", "line 19: section 'line' repeats"),
-        # only ASCII blanks are stripped, and only a whole line is a header
-        ("length = 500 km", "length\u00a0= 500 km", "[line] length is required"),
-        ("length = 500 km", "length =\u00a0500 km",
-         "[line] length: expected '<number> [unit]', got '\\xa0500 km'"),
-        ("length = 500 km", "length = 500 km\u00a0",
-         "[line] length: expected '<number> [unit]', got '500 km\\xa0'"),
-        ("length = 500 km", "\u2003length = 500 km", "[line] length is required"),
-        ("[source]", "[source] junk",
-         "line 16: '[source] junk' is neither a [section] header nor a key = value line"),
-        ("[source]", "[source]\n\x0b",
-         "line 17: '\\x0b' is neither a [section] header nor a key = value line"),
-        # indentation by ASCII blanks has no meaning, after a key line too
-        ("L = 1.0 mH/km", "  \tL = 1.0 mH/km", None),
-        ("[load]", "\t[load]", None),
-    ],
-    ids=["sign", "underscore", "non-ascii-pi-sections", "value-on-next-line", "default-key",
-         "line-constant", "line-before-header", "repeated-key", "repeated-section",
-         "no-break-space-after-key", "no-break-space-before-value",
-         "no-break-space-at-line-end", "em-space-indent", "text-after-header",
-         "vertical-tab-line", "indented-key-line", "indented-header-line"],
-)
-def test_config_grammar(old, new, message):
-    assert old in GOOD
-    text = GOOD.replace(old, new)
-    if message is None:
-        assert parse_sweep_config(text) == parse_sweep_config(GOOD)
+# The table rows that older test names below run, kept so that their test
+# ids stay; test_config_grammar runs every other row.
+LONG_VALUE_IDS = ["n_points-text", "n_points-digits", "pi_sections-digits", "model-text",
+                  "length-number", "length-unit"]
+
+
+def assert_parse_rejects(tmp_path, row: BadConfig) -> None:
+    """load_sweep_config on row's file raises the ConfigError of row's error
+    line, or, for a config that a sweep rejects part-way, returns it."""
+    cfg_file = row.write(tmp_path / "bad.ini")
+    if not row.parser_rejects:
+        assert type(load_sweep_config(cfg_file)) is SweepConfig
         return
     with pytest.raises(ConfigError) as excinfo:
-        parse_sweep_config(text, origin="cfg.ini")
-    assert str(excinfo.value) == f"cfg.ini: {message}"
+        load_sweep_config(cfg_file)
+    assert f"error: {excinfo.value}\n" == row.stderr(cfg_file)
+
+
+@pytest.mark.parametrize("row", [
+    *[pytest.param(row, id=row.id) for row in ROWS if row.id not in {*LONG_VALUE_IDS, "non-utf8"}],
+    # spellings the grammar accepts: a sign, and indentation by ASCII blanks,
+    # which has no meaning after a key line too
+    *[pytest.param(BadConfig(id, edits, None), id=id) for id, edits in [
+        ("sign", [(r"^n_points = ", "n_points = +")]),
+        ("indented-key-line", [(r"^L = ", "  \tL = ")]),
+        ("indented-header-line", [(r"^\[load\]", "\t[load]")]),
+    ]],
+])
+def test_config_grammar(tmp_path, row):
+    if row.error is None:
+        accepted = load_sweep_config(row.write(tmp_path / "accepted.ini"))
+        assert accepted == load_sweep_config(bundled_config_path("experiment_500km"))
+    else:
+        assert_parse_rejects(tmp_path, row)
 
 
 def configparser_sections(text: str) -> dict[str, dict[str, str]]:
@@ -238,8 +203,8 @@ def mutated_bundled_texts(draw) -> str:
 
 @given(text=mutated_bundled_texts())
 @example(text="")
-@example(text=BUNDLED_500KM.replace("[sweep]", "[sweep]\n[sweep]"))
-@example(text=BUNDLED_500KM.replace("length", "\u2003length"))
+@example(text=edited(BY_ID["repeated-section"].edits))
+@example(text=edited(BY_ID["em-space-indent"].edits))
 @settings(max_examples=500)
 def test_property_mutated_ini_text_parses_or_raises_one_line_config_error(text):
     try:
@@ -268,33 +233,15 @@ def test_property_mutated_ini_text_solve_exits_0_2_or_3(tmp_path_factory, text):
 
 
 def test_admittance_load_kind():
-    text = GOOD.replace(
-        """kind = fixed-capacitance-rated
-rated_q = 100 MVAr
-rated_v = 220 kV
-rated_f = 50 Hz
-rated_p = 100 MW""",
-        """kind = admittance
-g_load = 2 mS
-c_load = 6.6 uF""",
-    )
-    cfg = parse_sweep_config(text)
+    load = load_edit("kind = admittance\ng_load = 2 mS\nc_load = 6.6 uF")
+    cfg = parse_sweep_config(edited([load], GOOD))
     assert cfg.load.g_load == pytest.approx(2e-3, rel=1e-15)
     assert cfg.load.c_load == pytest.approx(6.6e-6, rel=1e-15)
 
 
 def test_impedance_load_kind():
-    text = GOOD.replace(
-        """kind = fixed-capacitance-rated
-rated_q = 100 MVAr
-rated_v = 220 kV
-rated_f = 50 Hz
-rated_p = 100 MW""",
-        """kind = impedance
-resistance = 484 ohm
-c_load = 1 uF""",
-    )
-    cfg = parse_sweep_config(text)
+    load = load_edit("kind = impedance\nresistance = 484 ohm\nc_load = 1 uF")
+    cfg = parse_sweep_config(edited([load], GOOD))
     assert cfg.load.g_load == pytest.approx(1.0 / 484.0, rel=1e-15)
 
 
@@ -308,33 +255,9 @@ def test_model_variants():
         assert (cfg.model, cfg.pi_sections) == (model, sections)
 
 
-def test_errors_are_config_errors():
-    cases = [
-        GOOD.replace("[source]\nvoltage = 220 kV\n", ""),  # missing section
-        GOOD.replace("voltage = 220 kV", "voltage = 220 kV\ntyp = oops"),  # unknown key
-        GOOD.replace("length = 500 km", "length = 500 miles"),  # unknown unit
-        GOOD.replace("n_points = 951", "n_points = many"),  # bad int
-        GOOD.replace("model = lossless", "model = spice"),  # bad model
-        GOOD.replace("kind = fixed-capacitance-rated", "kind = constant-power"),  # bad load kind
-        GOOD.replace("f_end = 1 kHz", "f_end = 10 Hz"),  # fails validation
-        GOOD.replace("L = 1.0 mH/km", "L = -1.0 mH/km"),  # bad line params
-        GOOD + "\n[extra]\nx = 1\n",  # unknown section
-        "not an ini file [",  # unparsable
-    ]
-    for text in cases:
-        with pytest.raises(ConfigError):
-            parse_sweep_config(text)
-
-
 def test_digest_hashes_the_resolved_load_only():
-    rated = """kind = fixed-capacitance-rated
-rated_q = 100 MVAr
-rated_v = 220 kV
-rated_f = 50 Hz
-rated_p = 100 MW"""
-
     def digest(load: str) -> str:
-        return config_digest(parse_sweep_config(GOOD.replace(rated, load)))
+        return config_digest(parse_sweep_config(edited([load_edit(load)], GOOD)))
 
     impedance = digest("kind = impedance\nresistance = 0.5 ohm")
     assert impedance == digest("kind = admittance\ng_load = 2 S")
@@ -350,11 +273,6 @@ rated_p = 100 MW"""
 )
 def test_bundled_config_digests_are_pinned(name, digest):
     assert config_digest(load_sweep_config(bundled_config_path(name))) == digest
-
-
-def test_missing_required_key():
-    with pytest.raises(ConfigError):
-        parse_sweep_config(GOOD.replace("rated_q = 100 MVAr\n", ""))
 
 
 def test_bundled_configs():
@@ -395,10 +313,7 @@ def test_load_missing_file():
 
 
 def test_load_non_utf8_file_names_it(tmp_path):
-    path = tmp_path / "bom.ini"
-    path.write_bytes(b"\xff\xfe" + GOOD.encode())
-    with pytest.raises(ConfigError, match=f"^cannot read config {re.escape(str(path))}: "):
-        load_sweep_config(path)
+    assert_parse_rejects(tmp_path, BY_ID["non-utf8"])
 
 
 @pytest.mark.parametrize("value", ["x" * 3000, "a/" * 1497 + "xx.ini"],
@@ -410,33 +325,7 @@ def test_resolve_overlong_config_arg_is_cut_short(value):
     assert str(excinfo.value).startswith(f"config {value[:20]!r}... (3000 characters) is neither ")
 
 
-LONG = "9" * 5000 + "x"  # 5001 characters that read as no number, int or model
-
-
-@pytest.mark.parametrize(
-    "old, new, message",
-    [
-        ("n_points = 951", f"n_points = {LONG}",
-         "[sweep] n_points: '99999999999999999999'... (5001 characters) is not an integer"),
-        ("n_points = 951", f"n_points = {'9' * 5001}",
-         "[sweep] n_points: an integer of 5001 digits, more than the 4300 accepted"),
-        ("model = lossless", f"model = pi-cascade({'9' * 5001})",
-         "[sweep] model pi-cascade(N): an integer of 5001 digits, more than the 4300 accepted"),
-        ("model = lossless", f"model = {LONG}",
-         "[sweep] model must be exact, lossless, pi-cascade or pi-cascade(N), "
-         "got '99999999999999999999'... (5001 characters)"),
-        ("length = 500 km", f"length = {LONG} km",
-         "[line] length: '99999999999999999999'... (5001 characters) is not a number"),
-        ("length = 500 km", f"length = 500 {LONG}",
-         "[line] length: unknown unit '99999999999999999999'... (5001 characters) "
-         "(allowed: km, m)"),
-    ],
-    ids=["n_points-text", "n_points-digits", "pi_sections-digits", "model-text",
-         "length-number", "length-unit"],
-)
-def test_long_values_are_echoed_cut_short(old, new, message):
+@pytest.mark.parametrize("row", [pytest.param(BY_ID[i], id=i) for i in LONG_VALUE_IDS])
+def test_long_values_are_echoed_cut_short(tmp_path, row):
     # int() refuses more than 4300 digits; no message echoes a value whole
-    assert old in GOOD
-    with pytest.raises(ConfigError) as excinfo:
-        parse_sweep_config(GOOD.replace(old, new), origin="cfg.ini")
-    assert str(excinfo.value) == f"cfg.ini: {message}"
+    assert_parse_rejects(tmp_path, row)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from tunedline.config import bundled_config_path, parse_sweep_config
+from tunedline import Frequency, abcd_lossless, complex_power_accounting, solve_receiving_end
+from tunedline.config import bundled_config_path, load_sweep_config, parse_sweep_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -29,3 +31,22 @@ def test_ini_example_is_the_bundled_500km_config():
 def test_python_example_runs(block):
     proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_reproduction_table_matches_the_scalar_functions():
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) Hz[^|]*\| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$",
+                      README, re.MULTILINE)
+    assert [row[:2] for row in rows] == [("experiment_500km", "50"), ("experiment_500km", "300"),
+                                         ("experiment_300km", "50"), ("experiment_300km", "500")]
+    for name, f_hz, *cells in rows:
+        cfg = load_sweep_config(bundled_config_path(name))
+        freq = Frequency(float(f_hz))
+        state = solve_receiving_end(abcd_lossless(cfg.line, cfg.length, freq),
+                                    complex(cfg.source_voltage / math.sqrt(3.0)), cfg.load, freq)
+        power = complex_power_accounting(state)
+        # three-phase MW and MVAr and line-to-line kV, rounded as each cell is
+        values = [power.p_r * 3.0 / 1e6, power.q_line * 3.0 / 1e6,
+                  abs(state.vr) * math.sqrt(3.0) / 1e3]
+        for cell, value in zip(cells, values):
+            assert abs(value - float(cell)) <= 0.5 * 10.0 ** -len(cell.split(".")[1]), (
+                name, f_hz, cell, value)
