@@ -1,12 +1,15 @@
 """Command-line interface: tuning queries, single-point solves, sweeps.
 
-Exit codes: 0 success, 2 argument or config error, 3 singular operating
-point (solve only), 4 I/O error.
+`main(argv)` returns the exit code: 0 success, 2 argument or config
+error, 3 singular operating point (solve only), 4 I/O error.  It may be
+called repeatedly in one process; the argument parser is built on the
+first call and reused by later ones, never at import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import ExitStack
@@ -38,6 +41,9 @@ CHUNK_POINTS = 4096
 TUNING_N_MAX = 1000
 
 
+# built by main's first call and reused by later ones: the tree depends only
+# on module constants, and parse_args keeps its state in the Namespace it returns
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tunedline",

@@ -93,6 +93,53 @@ def assert_cli_rejects(capsys, tmp_path, row: BadConfig, commands=("sweep", "sol
     assert list(out.iterdir()) == []
 
 
+# main() calls that reset what an earlier call set: the tuning group and its
+# --n-max/--format defaults, an argparse error, and sweep's --format/--plot-data
+REPEATED_CALLS = [
+    ["tuning", "--length", "500", "--n-max", "2", "--format", "csv"],
+    ["tuning", "--frequency", "50"],
+    ["tuning", "--length", "500", "--frequency", "50"],
+    ["tuning"],
+    ["--version"],
+    ["sweep", "--help"],
+    ["sweep", "--config", "experiment_300km", "--out", "json", "--format", "json", "--plot-data"],
+    ["sweep", "--config", "experiment_300km", "--out", "plain"],
+    ["solve", "--config", "experiment_500km", "--frequency", "300"],
+]
+
+
+def test_repeated_main_calls_match_calls_with_a_fresh_parser(capsys, monkeypatch, tmp_path):
+    def run(root: Path, fresh: bool) -> tuple[list, dict]:
+        root.mkdir()
+        monkeypatch.chdir(root)
+        results = []
+        for argv in REPEATED_CALLS:
+            if fresh:
+                cli.build_parser.cache_clear()
+            results.append((main(argv), *capsys.readouterr()))
+        # manifest.json holds a timestamp; every other file must be byte-identical
+        files = {str(path.relative_to(root)): path.read_bytes()
+                 for path in sorted(root.rglob("*"))
+                 if path.is_file() and path.name != "manifest.json"}
+        return results, files
+
+    cli.build_parser.cache_clear()
+    reused = run(tmp_path / "reused", fresh=False)
+    parser = cli.build_parser()
+    assert run(tmp_path / "fresh", fresh=True) == reused
+    assert cli.build_parser() is not parser
+    results, files = reused
+    assert [code for code, _, _ in results] == [0, 0, 2, 2, 0, 0, 0, 0, 0]
+    assert results[1][1].startswith("# tuned lengths at 50 Hz")
+    assert results[2][2].endswith(
+        "error: argument --frequency: not allowed with argument --length\n")
+    assert results[3][2].endswith(
+        "error: one of the arguments --length --frequency is required\n")
+    assert sorted(name for name in files if name.startswith("plain/")) == [
+        "plain/dips.json", "plain/records.csv"]
+    assert files["plain/records.csv"] == files["json/records.csv"]
+
+
 class TestTuningCommand:
     def test_length_query_table(self, capsys):
         assert main(["tuning", "--length", "500"]) == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -119,3 +120,31 @@ def test_cli_import_loads_no_typing_or_importlib_resources():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout.split() == []
+
+
+def test_cli_parser_built_once_per_process_and_not_at_import():
+    # timing-free: the progs of every ArgumentParser made at import and over main() calls
+    probe = (
+        "import argparse, contextlib, io, json\n"
+        "progs = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    progs.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import tunedline.cli\n"
+        "at_import = list(progs)\n"
+        "calls = [['tuning', '--length', '500'], ['tuning'], ['--version'],\n"
+        "         ['tuning', '--frequency', '50', '--format', 'json']]\n"
+        "sink = io.StringIO()\n"
+        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "    codes = [tunedline.cli.main(argv) for argv in calls]\n"
+        "print(json.dumps([at_import, codes, progs]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    at_import, codes, progs = json.loads(proc.stdout)
+    assert at_import == []
+    assert codes == [0, 2, 0, 0]
+    # one root parser and its three subcommand parsers, made by the first call
+    assert progs == ["tunedline", "tunedline tuning", "tunedline solve", "tunedline sweep"]
