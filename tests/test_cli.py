@@ -41,6 +41,13 @@ PINNED_CONFIGS = {
     "resonant-exact": [RESONANT_LOAD, (r"^model = .*", "model = exact")],
     "resonant-pi-cascade-37": [RESONANT_LOAD, (r"^model = .*", "model = pi-cascade(37)")],
     "two-points": [(r"^n_points = .*", "n_points = 2")],
+    # three chunks of CHUNK_POINTS = 4096 records; the 75 Hz singular row opens the second
+    "resonant-exact-8193": [RESONANT_LOAD, (r"^model = .*", "model = exact"),
+                            (r"^f_end = .*", "f_end = 100 Hz"),
+                            (r"^n_points = .*", "n_points = 8193")],
+    # the shape of perfbench's sweep-exact-lossy workload
+    "lossy-exact": [(r"^r = .*", "r = 0.03 ohm/km"), (r"^g = .*", "g = 5 nS/km"),
+                    (r"^model = .*", "model = exact")],
 }
 PINNED_OUTPUTS = json.loads((Path(__file__).parent / "pinned_outputs.json").read_text())
 # the bundled 500 km line loaded by a pure capacitor that resonates with it at 75 Hz
