@@ -289,7 +289,7 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
     """Read and parse a config file."""
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_sweep_config(text, origin=str(path))

@@ -33,7 +33,10 @@ the same vs_kv float and only finite cells (None in a singular row's
 empty cells).  It formats each float once, into the records.csv row:
 vs_kv once per chunk, from the chunk's first record, and every other
 cell with one %-template per row.  records.json and the plot files are
-cut from those rows, with one split into cells per row that both share.
+cut from the chunk's records.csv text, split once into one flat list of
+cells that both share: records.json is one template of the chunk's
+elements filled with one %, and each plot file takes two column slices
+of the list, f_hz and its value, without the singular rows.
 
 Every file is written through one atomic writer, `open_atomic`: a
 context manager that yields the handle of a `<name>.partial` sibling,
@@ -84,16 +87,6 @@ _SINGULAR_ROW = "%%.17g,,,,%.17g,,,true\n"
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_FIELDS) + "\n  }"
 
 
-def _json_cell(cell: str) -> str:
-    """A CSV cell as its JSON value: an empty cell is null, and `.0` is
-    appended to a cell with neither `.` nor `e`, which would load as an
-    int (and `-0` as the int 0); the others, false and true included,
-    pass through."""
-    if "." in cell or "e" in cell:
-        return cell
-    return cell + ".0" if cell else "null"
-
-
 class RecordWriter:
     """Appends a sweep's records, a chunk at a time, to its open record files.
 
@@ -104,9 +97,11 @@ class RecordWriter:
     `close` ends records.json.  The bytes do not depend on how the
     records were chunked.  This is the only code that writes these
     files' heads, separators and tails.  Each float is formatted once,
-    into its records.csv row; records.json and the plot files are cut
-    from that row's cells, every records.json element by one template
-    of the cells as `_json_cell` spells them (a singular row's as null).
+    into its records.csv row.  records.json and the plot files are cut
+    from one flat list of the chunk's cells, split once from its
+    records.csv text: records.json by one template of the chunk's
+    elements, filled with one % of every cell as the JSON rule spells
+    it, and each plot file from two column slices of the list.
 
     The records must be one sweep's: one vs_kv value throughout and
     finite cells, which `sweep_points` guarantees.  Hand-made rows that
@@ -125,29 +120,37 @@ class RecordWriter:
 
     def write(self, records: Sequence[tuple]) -> None:
         """Append one chunk of records to every open file; the vs_kv cell
-        is formatted once, from the first record."""
+        is formatted once, from the first record, and the chunk's
+        records.csv text is split into cells once."""
         if not records:
             return
         vs_kv = records[0][4]
         row, singular_row = _ROW % (vs_kv,), _SINGULAR_ROW % (vs_kv,)
-        csv_rows = [
+        text = "".join([
             singular_row % (f,) if singular else row % (f, p_r, q_r, q_line, vr_kv, delta_v)
             for f, p_r, q_r, q_line, _, vr_kv, delta_v, singular in records
-        ]
-        self._csv.write("".join(csv_rows))
+        ])
+        self._csv.write(text)
         if self._json is None and not self._plots:
             return
         # records.json and the plot files reuse the CSV cells, so no float
-        # is formatted twice; a singular row's p_r_mw cell is empty
-        cells = [csv_row[:-1].split(",") for csv_row in csv_rows]
+        # is formatted twice: one flat list, eight cells per row, without
+        # the empty cell after the last newline
+        cells = text.replace("\n", ",").split(",")
+        del cells[-1]
         if self._json is not None:
-            elements = [_JSON_ROW % tuple(map(_json_cell, c)) for c in cells]
-            self._json.write(self._json_separator + ",\n".join(elements))
+            # two writes, so the chunk's JSON text is not copied to prepend the separator
+            self._json.write(self._json_separator)
+            # an empty cell is null, and one with neither . nor e (50, -0) gets
+            # .0, or it would load as an int (-0 as the int 0)
+            self._json.write(",\n".join([_JSON_ROW] * len(records)) % tuple([
+                c if "." in c or "e" in c else c + ".0" if c else "null" for c in cells]))
             self._json_separator = ",\n"
         if self._plots:
-            plotted = [c for c in cells if c[1]]
+            f_hz = cells[0::8]
             for column, fh in enumerate(self._plots, 1):
-                fh.write("".join([f"{c[0]} {c[column]}\n" for c in plotted]))
+                # a singular row's value cells are empty: it has no plot line
+                fh.write("".join([f"{f} {v}\n" for f, v in zip(f_hz, cells[column::8]) if v]))
 
     def close(self) -> None:
         """Write the records.json tail; call once, after the last write."""
@@ -165,7 +168,7 @@ def open_atomic(path: str | Path) -> Iterator[TextIOBase]:
     """
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
-    fh = open(partial, "w", newline="")
+    fh = open(partial, "w", encoding="utf-8", newline="")
     try:
         with fh:
             yield fh

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -462,6 +463,32 @@ class TestSweepCommand:
 
     def test_non_utf8_config_exits_2_naming_the_file(self, capsys, tmp_path):
         assert_cli_rejects(capsys, tmp_path, BY_ID["non-utf8"])
+
+    def test_utf8_config_reads_the_same_in_an_ascii_locale(self, capsys, tmp_path):
+        # the config is read as UTF-8 whatever the locale's encoding, so a
+        # non-ASCII comment changes nothing
+        cfg_file = tmp_path / "em-dash.ini"
+        cfg_file.write_bytes(edited([(r"\A", "# line \u2014 500 km\n")]).encode())
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "tunedline", "sweep", "--config",
+             str(cfg_file), "--out", str(tmp_path / "ascii")],
+            capture_output=True, text=True, env={**os.environ, "LC_ALL": "C"})
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(["sweep", "--config", "experiment_500km", "--out", str(tmp_path / "plain")]) == 0
+        assert ((tmp_path / "ascii" / "records.csv").read_bytes()
+                == (tmp_path / "plain" / "records.csv").read_bytes())
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--format", "json", "--plot-data", "--out"],
+        ["solve", "--frequency", "300", "--out"],
+    ], ids=["sweep", "solve"])
+    def test_no_text_io_uses_the_locale_encoding(self, tmp_path, argv):
+        # every file the command reads or writes names its encoding
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "tunedline", *argv, str(tmp_path / "out"), "--config", "experiment_500km"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     @pytest.mark.parametrize("row", table_rows(FLOAT_RANGE_IDS))
     def test_overflow_exits_2_without_output(self, capsys, tmp_path, row):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import random
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tunedline import SweepRecord
+from tunedline.cli import CHUNK_POINTS
 from tunedline.reporting import (
     CSV_FIELDS,
     CSV_HEADER,
@@ -102,6 +104,30 @@ def _every_cell(value: float) -> list[tuple]:
 def test_record_writer_chunks_equal_whole_list_formatters(rows, cuts):
     # rows split at the cuts give the bytes the whole-list oracles give for all rows
     csv_text, json_text, plot_texts = write_records(rows, cuts)
+    assert csv_text == records_csv_per_cell(rows)
+    assert json_text == records_json_per_cell(rows)
+    plot_data = plot_data_per_cell(rows)
+    assert plot_texts == [plot_data[q] for q in PLOT_QUANTITIES]
+
+
+def test_record_writer_full_chunk_equals_whole_list_formatters():
+    # one chunk of CHUNK_POINTS rows fills the records.json template with that many
+    # elements; a shorter chunk follows and opens on a singular row
+    rng = random.Random(24)
+
+    def value() -> float:
+        if rng.random() < 0.3:
+            return rng.choice([50.0, -0.0, 1e16, 5e-324])
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+
+    vs_kv = value()
+    rows = [
+        (value(), None, None, None, vs_kv, None, None, True) if i % 61 == 0
+        else (*[value() for _ in range(4)], vs_kv, value(), value(), False)
+        for i in range(CHUNK_POINTS + 733)
+    ]
+    rows[CHUNK_POINTS] = (75.0, None, None, None, vs_kv, None, None, True)
+    csv_text, json_text, plot_texts = write_records(rows, [CHUNK_POINTS])
     assert csv_text == records_csv_per_cell(rows)
     assert json_text == records_json_per_cell(rows)
     plot_data = plot_data_per_cell(rows)
