@@ -33,10 +33,8 @@ the same vs_kv float and only finite cells (None in a singular row's
 empty cells).  It formats each float once, into the records.csv row:
 vs_kv once per chunk, from the chunk's first record, and every other
 cell with one %-template per row.  records.json and the plot files are
-cut from the chunk's records.csv text, split once into one flat list of
-cells that both share: records.json is one template of the chunk's
-elements filled with one %, and each plot file takes two column slices
-of the list, f_hz and its value, without the singular rows.
+cut from the chunk's rows, split once into cells: one template fills a
+chunk's records.json, and each plot file is two column slices of them.
 
 Every file is written through one atomic writer, `open_atomic`: a
 context manager that yields the handle of a `<name>.partial` sibling,
@@ -97,11 +95,9 @@ class RecordWriter:
     `close` ends records.json.  The bytes do not depend on how the
     records were chunked.  This is the only code that writes these
     files' heads, separators and tails.  Each float is formatted once,
-    into its records.csv row.  records.json and the plot files are cut
-    from one flat list of the chunk's cells, split once from its
-    records.csv text: records.json by one template of the chunk's
-    elements, filled with one % of every cell as the JSON rule spells
-    it, and each plot file from two column slices of the list.
+    into its records.csv row; records.json and the plot files are cut
+    from the chunk's cells, split once from those rows, records.json by
+    one template of the chunk's elements (a singular row's cells null).
 
     The records must be one sweep's: one vs_kv value throughout and
     finite cells, which `sweep_points` guarantees.  Hand-made rows that
@@ -120,8 +116,7 @@ class RecordWriter:
 
     def write(self, records: Sequence[tuple]) -> None:
         """Append one chunk of records to every open file; the vs_kv cell
-        is formatted once, from the first record, and the chunk's
-        records.csv text is split into cells once."""
+        is formatted once, from the first record."""
         if not records:
             return
         vs_kv = records[0][4]
@@ -133,9 +128,8 @@ class RecordWriter:
         self._csv.write(text)
         if self._json is None and not self._plots:
             return
-        # records.json and the plot files reuse the CSV cells, so no float
-        # is formatted twice: one flat list, eight cells per row, without
-        # the empty cell after the last newline
+        # records.json and the plot files reuse the CSV cells, so no float is
+        # formatted twice: eight cells a row, less the one after the last newline
         cells = text.replace("\n", ",").split(",")
         del cells[-1]
         if self._json is not None:
