@@ -27,7 +27,7 @@ from .reporting import (
     dips_report_json,
     open_atomic,
 )
-from .sweep import TuningDipWindow, sweep_points
+from .sweep import summarize, sweep_points
 from .tuning import DEFAULT_VELOCITY_KM_S, tuned_lengths, tuning_frequencies
 
 # Grid points `sweep` solves and appends to its files per step:
@@ -145,7 +145,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         f_hz, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = record
         print(f"f        = {f_hz:g} Hz")
-        print(f"model    = {cfg.model}, length = {cfg.length:g} km")
+        model = f"pi-cascade({cfg.pi_sections})" if cfg.model == "pi-cascade" else cfg.model
+        print(f"model    = {model}, length = {cfg.length:g} km")
         print(f"P_r      = {p_r_mw:.6g} MW (three-phase)")
         print(f"Q_r      = {q_r_mvar:.6g} MVAr")
         print(f"Q_line   = {q_line_mvar:.6g} MVAr")
@@ -181,9 +182,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if path.is_dir():
             raise IsADirectoryError(f"{path} is a directory, not an output file")
 
-    records = sweep_points(cfg, cfg.grid())
-    window = TuningDipWindow(cfg.length, cfg.line.velocity)
-    n_records = 0
     with ExitStack() as stack:
         # entered first, so renamed last, once every other file is in place
         manifest_file = stack.enter_context(open_atomic(out_dir / "manifest.json"))
@@ -192,23 +190,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             for name, written in file_set.items()
         ]
         writer = RecordWriter(csv, records_json, plots if args.plot_data else ())
-        while chunk := list(islice(records, CHUNK_POINTS)):
-            window.extend(chunk)
-            writer.write(chunk)
-            n_records += len(chunk)
+
+        def written_records():
+            records = sweep_points(cfg, cfg.grid())
+            while chunk := list(islice(records, CHUNK_POINTS)):
+                writer.write(chunk)
+                yield from chunk
+
+        summary = summarize(written_records(), cfg.length, cfg.line.velocity)
         writer.close()
-        dips = window.close()
-        dips_file.write(dips_report_json(dips))
-        manifest = build_manifest(cfg, [str(path) for path in outputs])
+        dips_file.write(dips_report_json(summary.dips))
+        manifest = build_manifest(cfg, outputs)
         manifest_file.write(json.dumps(manifest, indent=2) + "\n")
     for name, written in file_set.items():
         if not written:
             (out_dir / name).unlink(missing_ok=True)
 
-    n_singular = n_records - window.usable
-    print(f"wrote {n_records} records ({n_singular} singular) to {outputs[0]}")
-    matched = [d for d in dips if d.n_matched > 0]
-    print(f"tuning dips: {len(matched)} matched, {len(dips) - len(matched)} unmatched")
+    print(f"wrote {summary.n_records} records ({summary.n_singular} singular) to {outputs[0]}")
+    matched = [d for d in summary.dips if d.n_matched > 0]
+    print(f"tuning dips: {len(matched)} matched, {len(summary.dips) - len(matched)} unmatched")
     for d in matched:
         print(f"  n={d.n_matched}  f={d.f_detected:g} Hz")
     return 0

@@ -184,11 +184,16 @@ def config_digest(cfg: SweepConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def build_manifest(cfg: SweepConfig, outputs: list[str]) -> dict:
-    """manifest.json content: config digest, tool version, UTC timestamp, outputs."""
+def build_manifest(cfg: SweepConfig, outputs: list[str | Path]) -> dict:
+    """manifest.json content: config digest, tool version, UTC timestamp, outputs.
+
+    Each output path is spelled as the UTF-8 reading of its bytes, so it
+    does not depend on the locale that decoded it; bytes that are not
+    UTF-8 stay as lone surrogates, as the file system's str spells them.
+    """
     return {
         "config_digest": config_digest(cfg),
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
-        "outputs": list(outputs),
+        "outputs": [os.fsencode(path).decode("utf-8", "surrogateescape") for path in outputs],
     }

@@ -8,8 +8,9 @@ in-band rather than aborting the sweep.  Records are emitted in ascending
 frequency order, in the units every output reports: three-phase MW/MVAr
 and line-to-line kV.  The grid and the records are generated lazily, one
 point at a time, so a consumer that streams them (the `sweep` command)
-holds no more than it keeps itself; dip detection is a three-record
-sliding window over the same stream.
+holds no more than it keeps itself.  `summarize` is the one pass over
+that stream that counts its records and singular records and finds its
+tuning dips, three records at a time.
 
 The per-point loop fuses the two-port build, the terminal solve and the
 power accounting into plain local arithmetic, per phase.  Every
@@ -48,8 +49,9 @@ __all__ = [
     "MODEL_CHOICES",
     "SweepConfig",
     "SweepRecord",
+    "SweepSummary",
     "TuningDip",
-    "TuningDipWindow",
+    "summarize",
     "sweep_points",
 ]
 
@@ -279,78 +281,67 @@ def _pi_cascade(
     return ra, rb, rc, rd
 
 
-class TuningDipWindow:
-    """Tuning-dip detection over a record stream, three records at a time.
+class SweepSummary(namedtuple("SweepSummary", "n_records n_singular dips")):
+    """What one pass over a sweep found: n_records and n_singular (int),
+    and dips, the list of its TuningDips in ascending frequency order."""
 
-    Feed the records of one sweep in ascending frequency order through
-    any number of `extend` calls, then call `close` once for the dips.
-    The window keeps one record and one magnitude between calls, so memory
-    does not grow with the sweep.  `usable` counts the non-singular
-    records seen so far.
+    __slots__ = ()
 
-    A non-singular record is a dip when its |q_line_mvar| is strictly smaller
-    than both neighbours'; the first and last record of the sweep need
-    only be smaller than their single neighbour (a tuning point can sit
-    exactly on the sweep edge).  Records next to a singular one are not
-    dips, since one neighbour is unknown there.
+
+def summarize(records: Iterable[SweepRecord], length: float, velocity: float) -> SweepSummary:
+    """Count one sweep's records and singular records and find its tuning
+    dips, in one pass over records in ascending frequency order.
+
+    Only the record under judgement and two magnitudes are held, so memory
+    does not grow with the sweep beyond its dips.
+
+    A non-singular record is a dip when its |q_line_mvar| is strictly
+    smaller than both neighbours'; the first and last record of the sweep
+    need only be smaller than their single neighbour (a tuning point can
+    sit exactly on the sweep edge).  Records next to a singular one are
+    not dips, since one neighbour is unknown there.  Fewer than 3
+    non-singular records give no dips, edges included.
 
     Each dip is matched to the nearest analytic harmonic n*v/(2*length);
     dips farther than two grid steps (the spacing of the first two
     records) from every harmonic, or whose 2*f*length/v overflows, are
     reported with n_matched = 0.
     """
+    n_records = n_singular = 0
+    step = None
+    found = []
+    # |q_line_mvar| of the record under judgement (mid) and of its left
+    # neighbour.  A singular record's magnitude is nan and a missing
+    # sweep-edge neighbour's is inf, so one test `q < left and q < right`
+    # applies all the rules above: every comparison with nan is false, and
+    # every finite q is below inf.  q = inf before the first record judges
+    # nothing.
+    left = q = math.inf
+    mid = None
+    for n_records, rec in enumerate(records, 1):
+        if rec.singular:
+            right = math.nan
+            n_singular += 1
+        else:
+            right = abs(rec.q_line_mvar)
+        if q < left and q < right:
+            found.append(mid)
+        if n_records == 2:
+            step = rec.f_hz - mid.f_hz
+        left, mid, q = q, rec, right
+    if n_records - n_singular < 3:
+        return SweepSummary(n_records, n_singular, [])
+    if q < left:
+        found.append(mid)
+    dips = [_match(rec, step, length, velocity) for rec in found]
+    return SweepSummary(n_records, n_singular, dips)
 
-    __slots__ = ("length", "velocity", "dips", "usable", "_left", "_mid", "_q", "_step")
 
-    def __init__(self, length: float, velocity: float) -> None:
-        self.length = length
-        self.velocity = velocity
-        self.dips: list[TuningDip] = []
-        self.usable = 0
-        # |q_line_mvar| of the record under judgement (_mid) and of its left
-        # neighbour.  A singular record's magnitude is nan and a missing
-        # sweep-edge neighbour's is inf, so one test `q < left and
-        # q < right` applies all the rules above: every comparison with
-        # nan is false, and every finite q is below inf.  q = inf before
-        # the first record judges nothing.
-        self._left = math.inf
-        self._mid: SweepRecord | None = None
-        self._q = math.inf
-        self._step: float | None = None
-
-    def extend(self, records: Iterable[SweepRecord]) -> None:
-        """Slide the window over the next records of the sweep."""
-        left, mid, q, step = self._left, self._mid, self._q, self._step
-        usable = self.usable
-        for rec in records:
-            if rec.singular:
-                right = math.nan
-            else:
-                right = abs(rec.q_line_mvar)
-                usable += 1
-            if step is None and mid is not None:
-                step = rec.f_hz - mid.f_hz
-            if q < left and q < right:
-                self._match(mid, step)
-            left, mid, q = q, rec, right
-        self._left, self._mid, self._q, self._step = left, mid, q, step
-        self.usable = usable
-
-    def close(self) -> list[TuningDip]:
-        """Judge the last record against its left neighbour; return all dips.
-
-        Fewer than 3 non-singular records give no dips, edges included.
-        """
-        if self.usable < 3:
-            self.dips.clear()
-        elif self._q < self._left:
-            self._match(self._mid, self._step)
-        return self.dips
-
-    def _match(self, rec: SweepRecord, step: float) -> None:
-        try:
-            _, nearest = is_tuned(self.length, Frequency(rec.f_hz), self.velocity)
-            n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
-        except ValueError:  # 2*f*length/v overflows: no harmonic is near
-            n = 0
-        self.dips.append(TuningDip(rec.f_hz, n, rec.q_line_mvar))
+def _match(rec: SweepRecord, step: float, length: float, velocity: float) -> TuningDip:
+    """The dip at rec, matched to the nearest harmonic within two grid steps."""
+    try:
+        _, nearest = is_tuned(length, Frequency(rec.f_hz), velocity)
+        n = nearest.n if abs(rec.f_hz - nearest.value) <= 2.0 * step else 0
+    except ValueError:  # 2*f*length/v overflows: no harmonic is near
+        n = 0
+    return TuningDip(rec.f_hz, n, rec.q_line_mvar)

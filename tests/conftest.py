@@ -11,9 +11,9 @@ from tunedline import (
     Frequency,
     SweepRecord,
     TuningDip,
-    TuningDipWindow,
     TwoPort,
     is_tuned,
+    summarize,
     sweep_points,
 )
 from tunedline.reporting import CSV_FIELDS, CSV_HEADER
@@ -57,18 +57,16 @@ def sweep_records(cfg) -> list:
 
 
 def window_dips(records, length: float, velocity: float) -> list:
-    """The dips of one TuningDipWindow fed all the records at once."""
-    window = TuningDipWindow(length, velocity)
-    window.extend(records)
-    return window.close()
+    """The dips that `summarize` finds in the records."""
+    return summarize(records, length, velocity).dips
 
 
 def reference_tuning_dips(records: list, length: float, velocity: float) -> list:
     """Tuning dips found by indexing the whole record list.
 
-    The detection rules of `TuningDipWindow`, written as a plain loop with
-    both neighbours looked up by index: the oracle the streaming window is
-    checked against.
+    The detection rules of `summarize`, written as a plain loop with both
+    neighbours looked up by index: the oracle its one pass is checked
+    against.
     """
     step = records[1].f_hz - records[0].f_hz
 

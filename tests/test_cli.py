@@ -33,7 +33,7 @@ from tunedline import cli
 from tunedline.cli import main
 from tunedline.config import bundled_config_path, load_sweep_config
 from tunedline.reporting import CSV_FIELDS, dips_report_json
-from tunedline.sweep import SweepRecord, TuningDipWindow
+from tunedline.sweep import SweepRecord, summarize
 
 RESONANT_LOAD = load_edit(f"kind = admittance\nc_load = {1.0 / (300.0 * 2.0 * math.pi * 75.0)!r} F")
 # the configs whose sweep outputs pinned_outputs.json pins: edits of the bundled text
@@ -69,9 +69,7 @@ NON_FINITE_IDS = [
     "duplicate-key-3000-characters", "indented-line-after-header"]
 RATING_IDS = [row.id for row in ROWS if row.error.endswith("give a load out of float range")]
 OTHER_IDS = [row.id for row in ROWS if row.id not in {
-    *FLOAT_RANGE_IDS, *NON_FINITE_IDS, *RATING_IDS,
-    "malformed", "non-utf8", "degenerate-grid", "zero-pi-sections",
-}]
+    *FLOAT_RANGE_IDS, *NON_FINITE_IDS, *RATING_IDS}]
 
 
 def table_rows(ids: list[str]) -> list:
@@ -243,10 +241,16 @@ class TestSolveCommand:
         q_r = 3.0 * (-68306.95184812373) * 423.3901974057256 / 1e6
         assert row["q_r_mvar"] == pytest.approx(q_r, rel=1e-9)
 
-    def test_text_output(self, capsys):
+    def test_text_output(self, capsys, tmp_path):
         assert main(["solve", "--config", "experiment_500km", "--frequency", "150"]) == 0
         out = capsys.readouterr().out
         assert "P_r" in out and "Q_line" in out and "delta_v" in out
+        assert "\nmodel    = lossless, length = 500 km\n" in out
+        # the result depends on N, so the report names it
+        cfg_file = tmp_path / "pi37.ini"
+        cfg_file.write_text(edited([(r"^model = .*", "model = pi-cascade(37)")]))
+        assert main(["solve", "--config", str(cfg_file), "--frequency", "150"]) == 0
+        assert "\nmodel    = pi-cascade(37), length = 500 km\n" in capsys.readouterr().out
 
     def test_out_file(self, capsys, tmp_path):
         report = tmp_path / "point.json"
@@ -272,9 +276,6 @@ class TestSolveCommand:
         code = main(["solve", "--config", str(cfg_file), "--frequency", "75"])
         assert code == 3
         assert "singular" in capsys.readouterr().err
-
-    def test_malformed_config_exits_2(self, capsys, tmp_path):
-        assert_cli_rejects(capsys, tmp_path, BY_ID["malformed"])
 
     def test_missing_config_exits_2(self, capsys):
         assert main(["solve", "--config", "nope.ini", "--frequency", "50"]) == 2
@@ -461,9 +462,6 @@ class TestSweepCommand:
             assert len(captured.err.encode()) < 200
         assert not out.exists()
 
-    def test_non_utf8_config_exits_2_naming_the_file(self, capsys, tmp_path):
-        assert_cli_rejects(capsys, tmp_path, BY_ID["non-utf8"])
-
     def test_utf8_config_reads_the_same_in_an_ascii_locale(self, capsys, tmp_path):
         # the config is read as UTF-8 whatever the locale's encoding, so a
         # non-ASCII comment changes nothing
@@ -477,6 +475,24 @@ class TestSweepCommand:
         assert main(["sweep", "--config", "experiment_500km", "--out", str(tmp_path / "plain")]) == 0
         assert ((tmp_path / "ascii" / "records.csv").read_bytes()
                 == (tmp_path / "plain" / "records.csv").read_bytes())
+
+    def test_manifest_paths_are_utf8_in_any_locale(self, tmp_path):
+        # a path is spelled as the UTF-8 reading of its bytes, not by the
+        # locale that decoded --out; bytes that are not UTF-8 keep their escapes
+        def manifest_outputs(out: bytes, locale: str) -> list:
+            proc = subprocess.run(
+                [sys.executable, "-X", "utf8=0", "-m", "tunedline", "sweep",
+                 "--config", "experiment_300km", "--out", out],
+                capture_output=True, env={**os.environ, "LC_ALL": locale})
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            with open(os.path.join(out, b"manifest.json"), "rb") as fh:
+                return json.load(fh)["outputs"]
+
+        out = os.fsencode(tmp_path) + "/d\u00e9".encode()
+        expected = [f"{tmp_path}/d\u00e9/{name}" for name in ("records.csv", "dips.json")]
+        assert manifest_outputs(out, "C") == manifest_outputs(out, "C.UTF-8") == expected
+        latin1 = os.fsencode(tmp_path) + b"/d\xe9"
+        assert manifest_outputs(latin1, "C.UTF-8")[0] == f"{tmp_path}/d\udce9/records.csv"
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--format", "json", "--plot-data", "--out"],
@@ -494,15 +510,9 @@ class TestSweepCommand:
     def test_overflow_exits_2_without_output(self, capsys, tmp_path, row):
         assert_cli_rejects(capsys, tmp_path, row, ["sweep"])
 
-    def test_degenerate_grid_exits_2_without_output(self, capsys, tmp_path):
-        assert_cli_rejects(capsys, tmp_path, BY_ID["degenerate-grid"])
-
     @pytest.mark.parametrize("row", table_rows(RATING_IDS))
     def test_out_of_range_rating_exits_2_without_output(self, capsys, tmp_path, row):
         assert_cli_rejects(capsys, tmp_path, row)
-
-    def test_zero_pi_sections_exits_2_without_output(self, capsys, tmp_path):
-        assert_cli_rejects(capsys, tmp_path, BY_ID["zero-pi-sections"])
 
     def test_two_points_write_rows_and_no_dips(self, capsys, tmp_path):
         # fewer than 3 usable rows: no dip can be located, and that is not an error
@@ -537,12 +547,10 @@ class TestSweepCommand:
         # v = 10 km/s: at 1e307 Hz, 2*f*length/v = 1e309 overflows, and so
         # does beta*length = pi*2*f*length/v: such a sweep stops at its first
         # point (the table row harmonic-index-overflow), so only hand-made
-        # records reach the dip window with such an index
+        # records reach `summarize` with such an index
         records = [SweepRecord(f, 1.0, 1.0, q, 220.0, 220.0, 1.0, False)
                    for f, q in [(1e307, 2.0), (1.5e307, 1.0), (2e307, 2.0)]]
-        window = TuningDipWindow(500.0, 10.0)
-        window.extend(records)
-        dips = window.close()
+        dips = summarize(records, 500.0, 10.0).dips
         assert [(d.f_detected, d.n_matched) for d in dips] == [(1.5e307, 0)]
         assert dips == reference_tuning_dips(records, 500.0, 10.0)
 

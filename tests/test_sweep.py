@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,6 @@ from tunedline import (
     ResonanceError,
     SweepConfig,
     SweepRecord,
-    TuningDipWindow,
     abcd_exact,
     abcd_lossless,
     complex_power_accounting,
@@ -26,6 +26,7 @@ from tunedline import (
     nominal_pi,
     pi_cascade_oracle,
     solve_receiving_end,
+    summarize,
     sweep_points,
     wave_quantities,
 )
@@ -320,45 +321,52 @@ class TestDetectTuningDips:
         assert any(d.n_matched == 1 and d.f_detected == 300.0 for d in dips)
 
 
-# --- the streaming dip window against whole-list indexing ------------------
+# --- the one-pass summary against whole-list indexing -----------------------
+
+
+def chunked(records: list, size: int):
+    """An iterator over records that takes them from the list size at a
+    time, as `cli.cmd_sweep` hands a sweep to `summarize`."""
+    starts = range(0, len(records), size)
+    return chain.from_iterable(records[start:start + size] for start in starts)
+
+
+def assert_summary(records: list, summary, length: float, velocity: float) -> None:
+    """summary counts records and their singular ones, and holds the
+    oracle's dips, or none below 3 non-singular records."""
+    n_singular = sum(r.singular for r in records)
+    assert summary[:2] == (len(records), n_singular)
+    if len(records) - n_singular < 3:
+        assert summary.dips == []
+    else:
+        assert summary.dips == reference_tuning_dips(records, length, velocity)
 
 
 @st.composite
-def chunked_records(draw) -> tuple[list[SweepRecord], list[int]]:
-    """Records on a 1 Hz grid near the 300 Hz harmonic of a 500 km line,
-    some singular, |q_line_mvar| from a few values so ties occur; and the
-    chunk sizes they are fed in."""
-    n = draw(st.integers(min_value=2, max_value=40))
-    f_start = draw(st.sampled_from((280.0, 290.0, 296.5, 299.0, 300.0)))
+def sweep_like_records(draw) -> tuple[list[SweepRecord], int]:
+    """Records in ascending frequency near the 300 Hz harmonic of a 500 km
+    line, with steps of 0.25 to 4 Hz (so the first step is not every
+    step), some singular, |q_line_mvar| from a few values so ties occur;
+    and a chunk size to take them in."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    f = draw(st.sampled_from((280.0, 290.0, 296.5, 299.0, 300.0)))
     records = []
-    for i in range(n):
-        f = f_start + i
+    for _ in range(n):
+        f += draw(st.sampled_from((0.25, 1.0, 4.0)))
         if draw(st.integers(0, 5)) == 0:
             records.append(SweepRecord(f, None, None, None, 1.0, None, None, True))
         else:
             q = draw(st.sampled_from((-3.0, -1.0, 0.5, 1.0, 2.0, 3.0)))
             records.append(SweepRecord(f, 1.0, 0.0, q, 1.0, 1.0, 0.0, False))
-    chunks = []
-    while sum(chunks) < n:
-        chunks.append(draw(st.integers(min_value=1, max_value=8)))
-    return records, chunks
+    return records, draw(st.integers(min_value=1, max_value=8))
 
 
-@given(case=chunked_records())
+@given(case=sweep_like_records())
 @settings(max_examples=400)
 def test_property_dip_window_equals_whole_list_detection(case):
-    records, chunks = case
-    window = TuningDipWindow(500.0, 3e5)
-    start = 0
-    for size in chunks:
-        window.extend(records[start:start + size])
-        start += size
-    usable = sum(not r.singular for r in records)
-    assert window.usable == usable
-    if usable < 3:
-        assert window.close() == []
-    else:
-        assert window.close() == reference_tuning_dips(records, 500.0, 3e5)
+    records, size = case
+    for iterable in (records, iter(records), chunked(records, size)):
+        assert_summary(records, summarize(iterable, 500.0, 3e5), 500.0, 3e5)
 
 
 @pytest.mark.parametrize("layout", ["", "s", "u", "us", "su", "uu", "uus", "suu", "usu", "susus"])
@@ -375,11 +383,8 @@ def test_fewer_than_three_usable_records_give_no_dips(layout, chunk):
     ]
     if layout.startswith("uu"):
         assert reference_tuning_dips(records, 500.0, 3e5)
-    window = TuningDipWindow(500.0, 3e5)
-    for start in range(0, len(records), chunk):
-        window.extend(records[start:start + chunk])
-    assert window.usable == layout.count("u")
-    assert window.close() == []
+    summary = summarize(chunked(records, chunk), 500.0, 3e5)
+    assert summary == (len(layout), layout.count("s"), [])
 
 
 @pytest.mark.parametrize("length, harmonics", [(500.0, [1, 2, 3]), (300.0, [1, 2])])
@@ -387,12 +392,10 @@ def test_dip_window_in_chunks_equals_whole_list_detection(length, harmonics):
     records = sweep_records(experiment_config(length))
     expected = reference_tuning_dips(records, length, 3e5)
     assert [d.n_matched for d in expected if d.n_matched] == harmonics
-    assert window_dips(records, length, 3e5) == expected
+    # one list, summarized again and again: the 300 km sweep's edge dip at
+    # 1000 Hz is found once each time
     for size in (1, 2, 3, 7, 250):
-        window = TuningDipWindow(length, 3e5)
-        for start in range(0, len(records), size):
-            window.extend(iter(records[start:start + size]))
-        assert window.close() == expected
+        assert_summary(records, summarize(chunked(records, size), length, 3e5), length, 3e5)
 
 
 # --- the fused loop against the scalar oracle --------------------------------
