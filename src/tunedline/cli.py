@@ -144,7 +144,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(report)
     else:
         f_hz, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = record
-        print(f"f        = {f_hz:g} Hz")
+        print(f"f        = {f_hz!r} Hz")
         model = f"pi-cascade({cfg.pi_sections})" if cfg.model == "pi-cascade" else cfg.model
         print(f"model    = {model}, length = {cfg.length:g} km")
         print(f"P_r      = {p_r_mw:.6g} MW (three-phase)")

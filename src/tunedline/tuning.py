@@ -29,6 +29,8 @@ __all__ = [
 
 # Wave velocity of the default line profile, km/s (idealized speed of light).
 DEFAULT_VELOCITY_KM_S = 3.0e5
+# How far 2*f*l/v may lie from an integer n >= 1 for is_tuned to call the pair tuned.
+TUNED_TOL = 1e-6
 
 
 class TuningSolution(namedtuple("TuningSolution", "n value")):
@@ -99,26 +101,21 @@ def tuning_frequencies(
 
 
 def is_tuned(
-    length: float,
-    freq: Frequency,
-    velocity: float = DEFAULT_VELOCITY_KM_S,
-    rel_tol: float = 1e-6,
+    length: float, freq: Frequency, velocity: float = DEFAULT_VELOCITY_KM_S
 ) -> tuple[bool, TuningSolution]:
     """Classify a (length, frequency) pair against the tuning condition.
 
-    The pair is tuned when 2*f*l/v is within rel_tol of an integer n >= 1.
+    The pair is tuned when 2*f*l/v is within TUNED_TOL of an integer n >= 1.
     Also returns the nearest tuning frequency as a TuningSolution (with n
     clamped to 1, since n = 0 is no line at all).  Raises ValueError when
     2*f*l/v is itself out of float range.
     """
     _check_velocity(velocity)
     _check_length(length)
-    if not (0.0 < rel_tol < 0.5):
-        raise ValueError("rel_tol must lie in (0, 0.5)")
     x = _scaled_ratio(freq.f, length, velocity, 1)
     if math.isinf(x):
         raise ValueError("2*f*length/velocity is out of float range")
     nearest_int = round(x)
-    tuned = nearest_int >= 1 and abs(x - nearest_int) <= rel_tol
+    tuned = nearest_int >= 1 and abs(x - nearest_int) <= TUNED_TOL
     n = max(1, nearest_int)
     return tuned, _harmonic(n, velocity, length)

@@ -1,16 +1,13 @@
 """Rejected configs: one row per config that `sweep` and `solve` reject with
 one error line, as edits of the bundled experiment_500km text.
 
-The parse-level and CLI tests, the extreme-config property (which draws
-SPELLINGS) and CI read this table, so a new rejected config is one row.
-`python tests/bad_configs.py DIR` (standard library only) writes DIR/<id>.ini
-for each row that exits 2 from both `sweep` and `solve --frequency 300`.
+The parse-level and CLI tests and the extreme-config property (which draws
+SPELLINGS) read this table, so a new rejected config is one row.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from collections import namedtuple
 from pathlib import Path
 
@@ -30,11 +27,11 @@ def edited(edits, base: str | bytes | None = None) -> str | bytes:
     return base
 
 
-class BadConfig(namedtuple("BadConfig", "id edits error frequency code", defaults=(300.0, 2))):
+class BadConfig(namedtuple("BadConfig", "id edits error frequency", defaults=(300.0,))):
     """id: the test id; edits: (pattern, replacement) pairs for `edited`;
     error: stderr after "error: ", {path} standing for the config file (a
     config error names it, a point out of float range names its frequency);
-    frequency: the `solve --frequency` in Hz; code: the exit code."""
+    frequency: the `solve --frequency` in Hz."""
 
     __slots__ = ()
 
@@ -267,16 +264,3 @@ ROWS = SPELLINGS + [
 ]
 BY_ID = {row.id: row for row in ROWS}
 assert len(BY_ID) == len(ROWS), "row ids repeat"
-
-
-def main(out_dir: str) -> None:
-    """Write each row that exits 2 from `sweep` and `solve --frequency 300`."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for row in ROWS:
-        if row.code == 2 and row.frequency == 300.0:
-            row.write(out / f"{row.id}.ini")
-
-
-if __name__ == "__main__":
-    main(*sys.argv[1:])

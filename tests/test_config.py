@@ -87,12 +87,6 @@ def test_parse_quantity_rejects_values_out_of_float_range(text):
         parse_quantity(text, {"Hz": 1.0, "kHz": 1e3}, where="x")
 
 
-# The table rows that older test names below run, kept so that their test
-# ids stay; test_config_grammar runs every other row.
-LONG_VALUE_IDS = ["n_points-text", "n_points-digits", "pi_sections-digits", "model-text",
-                  "length-number", "length-unit"]
-
-
 def assert_parse_rejects(tmp_path, row: BadConfig) -> None:
     """load_sweep_config on row's file raises the ConfigError of row's error
     line, or, for a config that a sweep rejects part-way, returns it."""
@@ -106,7 +100,7 @@ def assert_parse_rejects(tmp_path, row: BadConfig) -> None:
 
 
 @pytest.mark.parametrize("row", [
-    *[pytest.param(row, id=row.id) for row in ROWS if row.id not in {*LONG_VALUE_IDS, "non-utf8"}],
+    *[pytest.param(row, id=row.id) for row in ROWS],
     # spellings the grammar accepts: a sign, and indentation by ASCII blanks,
     # which has no meaning after a key line too
     *[pytest.param(BadConfig(id, edits, None), id=id) for id, edits in [
@@ -312,10 +306,6 @@ def test_load_missing_file():
         load_sweep_config("/nonexistent/path/config.ini")
 
 
-def test_load_non_utf8_file_names_it(tmp_path):
-    assert_parse_rejects(tmp_path, BY_ID["non-utf8"])
-
-
 @pytest.mark.parametrize("value", ["x" * 3000, "a/" * 1497 + "xx.ini"],
                          ids=["name-3000-characters", "path-3000-characters"])
 def test_resolve_overlong_config_arg_is_cut_short(value):
@@ -323,9 +313,3 @@ def test_resolve_overlong_config_arg_is_cut_short(value):
     with pytest.raises(ConfigError) as excinfo:
         resolve_config_arg(value)
     assert str(excinfo.value).startswith(f"config {value[:20]!r}... (3000 characters) is neither ")
-
-
-@pytest.mark.parametrize("row", [pytest.param(BY_ID[i], id=i) for i in LONG_VALUE_IDS])
-def test_long_values_are_echoed_cut_short(tmp_path, row):
-    # int() refuses more than 4300 digits; no message echoes a value whole
-    assert_parse_rejects(tmp_path, row)

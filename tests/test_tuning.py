@@ -90,25 +90,20 @@ class TestTuningFrequencies:
 
 class TestIsTuned:
     def test_tuned_pair(self):
-        tuned, nearest = is_tuned(500.0, Frequency(300.0), V, 1e-6)
+        tuned, nearest = is_tuned(500.0, Frequency(300.0), V)
         assert tuned
         assert nearest.n == 1
         assert nearest.value == pytest.approx(300.0, rel=1e-12)
 
     def test_quarter_wave_is_maximally_detuned(self):
-        tuned, nearest = is_tuned(500.0, Frequency(150.0), V, 1e-3)
+        tuned, nearest = is_tuned(500.0, Frequency(150.0), V)
         assert not tuned
         assert nearest.value == pytest.approx(300.0, rel=1e-12)
 
     def test_second_harmonic(self):
-        tuned, nearest = is_tuned(300.0, Frequency(1000.0), V, 1e-6)
+        tuned, nearest = is_tuned(300.0, Frequency(1000.0), V)
         assert tuned
         assert nearest.n == 2
-
-    def test_rejects_out_of_range_tolerance(self):
-        for bad in (0.0, 0.5, 0.7, -0.1):
-            with pytest.raises(ValueError):
-                is_tuned(500.0, Frequency(300.0), V, bad)
 
     def test_rejects_harmonic_index_out_of_float_range(self):
         # 2*f*l/v = 2 * 1.5e307 * 500 / 1e-5 = 1.5e315: round(inf) has no integer
