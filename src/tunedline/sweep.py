@@ -16,21 +16,25 @@ The per-point loop fuses the two-port build, the terminal solve and the
 power accounting into plain local arithmetic, per phase.  Every
 expression keeps the operation order of the scalar functions in
 `linemodel` and `powerflow` (`abcd_lossless`, `abcd_exact`,
-`pi_cascade_oracle`, `solve_receiving_end`, `complex_power_accounting`),
-so its records are bit-identical to theirs after the one conversion
-to three-phase units, which happens in this loop and nowhere else:
-x*3/1e6 for powers and v*sqrt(3)/1e3 for voltages, in that operation
-order.  Those functions stay as the independent oracle the tests check
-it against, and the loop calls none of them.
+`solve_receiving_end`, `complex_power_accounting`), so its lossless and
+exact records are bit-identical to theirs after the one conversion to
+three-phase units, which happens in this loop and nowhere else: x*3/1e6
+for powers and v*sqrt(3)/1e3 for voltages, in that operation order.
+Those functions stay as the independent oracle the tests check it
+against, and the loop calls none of them.
 
-The pi-cascade chain is the oracle's repeated squaring of one
-`nominal_pi` section, with one shortcut: every power of the section is
-symmetric (a == d, bit for bit), because a*b == b*a and c*b == b*c in
-floating point.  Squaring a symmetric (a, b, c, a) therefore takes four
-complex products, a*a + b*c, a*b + a*b and c*a + c*a, where `@` takes
-eight; `x + x` is exact, and unlike `2*x` it keeps signed zeros and
-infinities as `@` does.  Multiplying the squares into the result is the
-full four-entry `@` product, since the result's d is not bitwise its a.
+The pi-cascade two-port is not the oracle's chain of products.  N equal
+nominal-pi sections (a, b, c, a) with a*a - b*c = 1 are a uniform line
+of N sections whose angle theta per section has cosh(theta) = a and
+sinh(theta) = s = sqrt(b*c), so their product is (cosh(N*theta),
+b*u, c*u, cosh(N*theta)) with u = sinh(N*theta)/s, at a cost that does
+not grow with N.  theta is asinh(s), which keeps its relative accuracy
+for small sections, except near a = 0, where asinh(s) sits at its
+branch point s = +-j and e**theta = a + s is used instead.  The principal
+asinh has cosh(theta) = -a where Re(a) < 0; the true angle there is
+j*pi - asinh(s), which negates cosh(N*theta) for odd N and u for even
+N.  The result agrees with `pi_cascade_oracle` within rounding error that
+grows with N and with |N*theta|, not bit for bit (see the tests).
 """
 
 from __future__ import annotations
@@ -183,8 +187,8 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
     vs_mag = abs(vs)
     vs_kv = vs_mag * _SQRT3 / 1e3
     two_pi = 2.0 * math.pi
-    seg = length / cfg.pi_sections
-    squarings, bits = _chain_plan(cfg.pi_sections)
+    n_sections = cfg.pi_sections
+    seg = length / n_sections
     new_record = tuple.__new__  # SweepRecord(...) without namedtuple's Python-level __new__
     try:
         for f in frequencies:
@@ -206,8 +210,8 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
                 b = zc * sh
                 c = sh / zc
             else:
-                a, b, c, d = _pi_cascade(
-                    complex(r, omega * L), complex(g, omega * C), seg, squarings, bits
+                a, b, c, d = _pi_power(
+                    complex(r, omega * L), complex(g, omega * C), seg, n_sections
                 )
             y = complex(g_load, omega * c_load)
             den = a + b * y
@@ -236,49 +240,34 @@ def sweep_points(cfg: SweepConfig, frequencies: Iterable[float]) -> Iterator[Swe
         raise ValueError(f"solution out of float range at f = {f} Hz") from None
 
 
-def _chain_plan(n_sections: int) -> tuple[int, list[bool]]:
-    """How pi_cascade_oracle's repeated squaring walks the bits of N.
-
-    N = 2**squarings * (2*m + 1): the chain squares the section
-    `squarings` times and takes that power as the result, then squares on
-    once per bit of m, lowest first, multiplying the power into the result
-    where the bit is set.
-    """
-    squarings = (n_sections & -n_sections).bit_length() - 1
-    bits = [bool(n_sections >> k & 1) for k in range(squarings + 1, n_sections.bit_length())]
-    return squarings, bits
-
-
-def _pi_cascade(
-    z: complex, y: complex, seg: float, squarings: int, bits: list[bool]
+def _pi_power(
+    z: complex, y: complex, seg: float, n_sections: int
 ) -> tuple[complex, complex, complex, complex]:
-    """pi_cascade_oracle's (a, b, c, d), bit for bit, from the per-km z and y,
-    the section length seg and the `_chain_plan` of N.
+    """The (a, b, c, d) of n_sections nominal-pi sections of length seg, in
+    closed form (see the module docstring), from the per-km z and y.
 
-    The section is built as `nominal_pi` builds it.  Each power of it is
-    symmetric (a, b, c, a), and is squared with four products (see the
-    module docstring); the result takes the full `@` product.
+    The section is built as `nominal_pi` builds it, (a, z_s, c_s, a).
     """
-    z_total = z * seg
-    y_total = y * seg
-    zy = z_total * y_total
+    z_s = z * seg
+    y_s = y * seg
+    zy = z_s * y_s
     a = 1.0 + zy / 2.0
-    b = z_total
-    c = y_total * (1.0 + zy / 4.0)
-    for _ in range(squarings):
-        bc = b * c
-        ab = a * b
-        ca = c * a
-        a, b, c = a * a + bc, ab + ab, ca + ca
-    ra, rb, rc, rd = a, b, c, a
-    for bit in bits:
-        bc = b * c
-        ab = a * b
-        ca = c * a
-        a, b, c = a * a + bc, ab + ab, ca + ca
-        if bit:
-            ra, rb, rc, rd = ra * a + rb * c, ra * b + rb * a, rc * a + rd * c, rc * b + rd * a
-    return ra, rb, rc, rd
+    c_s = y_s * (1.0 + zy / 4.0)
+    s = cmath.sqrt(z_s * c_s)
+    if abs(a) < 0.5:  # asinh(s) is at its branch point s = +-j where a = 0
+        n_theta = n_sections * cmath.log(a + s)
+        flip = False
+    else:
+        n_theta = n_sections * cmath.asinh(s)
+        flip = a.real < 0.0  # theta = j*pi - asinh(s)
+    a = cmath.cosh(n_theta)
+    u = cmath.sinh(n_theta) / s if s else n_sections
+    if flip:
+        if n_sections & 1:
+            a = -a
+        else:
+            u = -u
+    return a, z_s * u, c_s * u, a
 
 
 class SweepSummary(namedtuple("SweepSummary", "n_records n_singular dips")):

@@ -49,6 +49,10 @@ PINNED_CONFIGS = {
     # the shape of perfbench's sweep-exact-lossy workload
     "lossy-exact": [(r"^r = .*", "r = 0.03 ohm/km"), (r"^g = .*", "g = 5 nS/km"),
                     (r"^model = .*", "model = exact")],
+    # the shape of perfbench's pi-cascade workload
+    "lossy-pi-cascade-1000": [(r"^r = .*", "r = 0.03 ohm/km"), (r"^g = .*", "g = 5 nS/km"),
+                              (r"^n_points = .*", "n_points = 201"),
+                              (r"^model = .*", "model = pi-cascade(1000)")],
 }
 PINNED_OUTPUTS = json.loads((Path(__file__).parent / "pinned_outputs.json").read_text())
 # the bundled 500 km line loaded by a pure capacitor that resonates with it at 75 Hz
