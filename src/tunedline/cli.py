@@ -3,30 +3,22 @@
 `main(argv)` returns the exit code: 0 success, 2 argument or config
 error, 3 singular operating point (solve only), 4 I/O error.  It may be
 called repeatedly in one process; the argument parser is built on the
-first call and reused by later ones, never at import.
+first call and reused by later ones, never at import.  Each command
+imports json, config and reporting itself, only if it runs them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from contextlib import ExitStack
 from itertools import islice
 from pathlib import Path
 
 from . import __version__
-from .config import load_sweep_config, resolve_config_arg
 from .linemodel import Frequency
 from .powerflow import ResonanceError
-from .reporting import (
-    PLOT_QUANTITIES,
-    RecordWriter,
-    build_manifest,
-    dips_report_json,
-    open_atomic,
-)
 from .sweep import summarize, sweep_points
 from .tuning import DEFAULT_VELOCITY_KM_S, tuned_lengths, tuning_frequencies
 
@@ -115,6 +107,7 @@ def cmd_tuning(args: argparse.Namespace) -> int:
         unit, title = "km", f"tuned lengths at {args.frequency:g} Hz"
 
     if args.format == "json":
+        import json
         payload = [{"n": s.n, "value": s.value, "unit": unit} for s in solutions]
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
@@ -130,6 +123,9 @@ def cmd_tuning(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    import json
+    from .config import load_sweep_config, resolve_config_arg
+    from .reporting import open_atomic
     cfg = load_sweep_config(resolve_config_arg(args.config))
     frequency = Frequency(args.frequency).f  # rejects non-positive and non-finite values
     (record,) = sweep_points(cfg, [frequency])
@@ -166,6 +162,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     run's files as they were.  After the renames, the fixed-name outputs
     this run did not write are deleted, so the directory holds one run.
     """
+    import json
+    from .config import load_sweep_config, resolve_config_arg
+    from .reporting import (PLOT_QUANTITIES, RecordWriter, build_manifest, dips_report_json,
+                            open_atomic)
     cfg = load_sweep_config(resolve_config_arg(args.config))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

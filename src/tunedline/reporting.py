@@ -47,7 +47,6 @@ before all are written, and manifest.json is renamed last.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -179,6 +178,7 @@ def dips_report_json(dips: list[TuningDip]) -> str:
 
 def config_digest(cfg: SweepConfig) -> str:
     """Content hash of the resolved config (nested, sorted-key JSON); stable across runs."""
+    import hashlib  # here, not at module level: only sweep's manifest hashes
     nested = {**cfg._asdict(), "line": cfg.line._asdict(), "load": cfg.load._asdict()}
     canonical = json.dumps(nested, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

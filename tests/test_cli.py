@@ -29,7 +29,7 @@ from conftest import (
     reference_tuning_dips,
     sweep_records,
 )
-from tunedline import cli
+from tunedline import cli, reporting
 from tunedline.cli import main
 from tunedline.config import bundled_config_path, load_sweep_config
 from tunedline.reporting import CSV_FIELDS, dips_report_json
@@ -635,14 +635,15 @@ class TestSweepOutputSet:
                      "--format", "json", "--plot-data"]) == 0
         capsys.readouterr()
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        real_open_atomic = cli.open_atomic
+        real_open_atomic = reporting.open_atomic
 
         @contextmanager
         def open_atomic(path):
             with real_open_atomic(path) as fh:
                 yield _FullDisk() if Path(path).name == failing else fh
 
-        monkeypatch.setattr(cli, "open_atomic", open_atomic)
+        # cmd_sweep imports open_atomic from reporting when it runs
+        monkeypatch.setattr(reporting, "open_atomic", open_atomic)
         assert main(["sweep", "--config", "experiment_300km", "--out", str(out)]) == 4
         captured = capsys.readouterr()
         assert captured.err == "error: [Errno 28] No space left on device\n"

@@ -107,7 +107,8 @@ def test_cli_import_loads_no_dataclass_machinery():
                           check=True)
     loaded = set(proc.stdout.split())
     assert "tunedline.cli" in loaded
-    assert not loaded & {"dataclasses", "datetime", "inspect", "ast", "dis", "configparser"}
+    assert not loaded & {"dataclasses", "datetime", "inspect", "ast", "dis", "configparser",
+                         "json", "hashlib", "_hashlib", "tunedline.config", "tunedline.reporting"}
 
 
 def test_cli_import_loads_no_typing_or_importlib_resources():
@@ -120,6 +121,34 @@ def test_cli_import_loads_no_typing_or_importlib_resources():
     proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout.split() == []
+
+
+# the modules a command may skip, and which of them each command loads: only
+# sweep's manifest hashes (config_digest), so only sweep loads hashlib and OpenSSL
+PER_COMMAND = ("json", "hashlib", "_hashlib", "tunedline.config", "tunedline.reporting")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["tuning", "--length", "500"], set()),
+    (["tuning", "--length", "500", "--format", "json"], {"json"}),
+    (["solve", "--config", "experiment_500km", "--frequency", "300"],
+     {"json", "tunedline.config", "tunedline.reporting"}),
+    (["sweep", "--config", "experiment_500km", "--out", "OUT"], set(PER_COMMAND)),
+], ids=["tuning", "tuning-json", "solve", "sweep"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    # timing-free; -S keeps site start-up, which may import any of them, out of the probe
+    src = Path(tunedline.__file__).resolve().parents[1]
+    probe = (
+        "import sys\n"
+        "from tunedline.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        f"print(*sorted(set(sys.modules) & {set(PER_COMMAND)!r}), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
+    proc = subprocess.run([sys.executable, "-S", "-c", probe, *argv], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert set(proc.stderr.split()) == loaded
 
 
 def test_cli_parser_built_once_per_process_and_not_at_import():
