@@ -101,10 +101,10 @@ def cmd_tuning(args: argparse.Namespace) -> int:
         raise ValueError(f"--n-max must be at most {TUNING_N_MAX}")
     if args.length is not None:
         solutions = tuning_frequencies(args.length, args.velocity, args.n_max)
-        unit, title = "Hz", f"tuning frequencies for a {args.length:g} km line"
+        unit, title = "Hz", f"tuning frequencies for a {args.length!r} km line"
     else:
         solutions = tuned_lengths(Frequency(args.frequency), args.velocity, args.n_max)
-        unit, title = "km", f"tuned lengths at {args.frequency:g} Hz"
+        unit, title = "km", f"tuned lengths at {args.frequency!r} Hz"
 
     if args.format == "json":
         import json
@@ -115,7 +115,7 @@ def cmd_tuning(args: argparse.Namespace) -> int:
         for s in solutions:
             print(f"{s.n},{format(s.value, '.17g')}")
     else:
-        print(f"# {title} (v = {args.velocity:g} km/s)")
+        print(f"# {title} (v = {args.velocity!r} km/s)")
         print(f"{'n':>3}  {'value':>14}")
         for s in solutions:
             print(f"{s.n:>3}  {s.value:>11.6g} {unit}")
@@ -142,7 +142,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f_hz, p_r_mw, q_r_mvar, q_line_mvar, vs_kv, vr_kv, delta_v, _ = record
         print(f"f        = {f_hz!r} Hz")
         model = f"pi-cascade({cfg.pi_sections})" if cfg.model == "pi-cascade" else cfg.model
-        print(f"model    = {model}, length = {cfg.length:g} km")
+        print(f"model    = {model}, length = {cfg.length!r} km")
         print(f"P_r      = {p_r_mw:.6g} MW (three-phase)")
         print(f"Q_r      = {q_r_mvar:.6g} MVAr")
         print(f"Q_line   = {q_line_mvar:.6g} MVAr")
@@ -206,7 +206,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not written:
             (out_dir / name).unlink(missing_ok=True)
 
-    print(f"wrote {summary.n_records} records ({summary.n_singular} singular) to {outputs[0]}")
+    # the files are committed, so the path is spelled as stdout can carry it: a
+    # character its encoding and error handler refuse becomes \xe9 or \udce9
+    path, encoding = str(outputs[0]), getattr(sys.stdout, "encoding", None) or "utf-8"
+    try:
+        path.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
+    except UnicodeEncodeError:
+        path = path.encode(encoding, "backslashreplace").decode(encoding)
+    print(f"wrote {summary.n_records} records ({summary.n_singular} singular) to {path}")
     matched = [d for d in summary.dips if d.n_matched > 0]
     print(f"tuning dips: {len(matched)} matched, {len(summary.dips) - len(matched)} unmatched")
     for d in matched:

@@ -143,7 +143,8 @@ class SweepRecord(namedtuple("SweepRecord", _RECORD_FIELDS)):
     The only record type of a sweep.  Singular (resonant) points keep
     f_hz, vs_kv and the flag but carry None for everything the solve
     would have produced.  Every record of one sweep shares one vs_kv
-    float object, which lets `reporting.RecordWriter` format it once.
+    float object, so `reporting.RecordWriter` formats the first record's
+    vs_kv once per chunk and reuses that cell in every row.
     """
 
     __slots__ = ()

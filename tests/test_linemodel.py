@@ -135,14 +135,6 @@ class TestAbcdExact:
         tp = abcd_exact(LINE, 1e-12, Frequency(50.0))
         assert_twoport_close(tp, TwoPort.identity(), 1e-12)
 
-    def test_half_wave_is_minus_identity(self):
-        # 500 km at 300 Hz: electrical length exactly pi
-        tp = abcd_exact(LINE, 500.0, Frequency(300.0))
-        assert abs(tp.a + 1.0) < 1e-9
-        assert abs(tp.d + 1.0) < 1e-9
-        assert abs(tp.b) < 1e-9
-        assert abs(tp.c) < 1e-9
-
     def test_quarter_wave_values(self):
         # 500 km at 150 Hz: electrical length pi/2
         tp = abcd_exact(LINE, 500.0, Frequency(150.0))

@@ -57,14 +57,6 @@ class TestTunedLengths:
 
 
 class TestTuningFrequencies:
-    def test_500_km_harmonics(self):
-        sols = tuning_frequencies(500.0, V, 3)
-        assert [s.value for s in sols] == pytest.approx([300.0, 600.0, 900.0], rel=1e-12)
-
-    def test_300_km_harmonics(self):
-        sols = tuning_frequencies(300.0, V, 2)
-        assert [s.value for s in sols] == pytest.approx([500.0, 1000.0], rel=1e-12)
-
     def test_3000_km_gives_power_frequency(self):
         sols = tuning_frequencies(3000.0, V, 1)
         assert sols[0].value == pytest.approx(50.0, rel=1e-12)

@@ -72,6 +72,8 @@ VALIDATING = [
     (Frequency(50.0), "f", -5.0),
     (LoadSpec(1.0, 0.0), "g_load", -1.0),
     (PowerTransferInputs(vs_mag=1.0, vr_mag=1.0, delta=0.1, x=1.0), "x", 0.0),
+    pytest.param(PowerTransferInputs(vs_mag=1.0, vr_mag=1.0, delta=0.1, x=1.0), "vs_mag", -1.0,
+                 id="PowerTransferInputs-vs_mag"),
     (SweepConfig(line=default_line(), length=500.0, source_voltage=220e3,
                  load=LoadSpec(1.0, 0.0), f_start=50.0, f_end=1000.0, n_points=951),
      "n_points", 1),
@@ -95,37 +97,12 @@ def test_make_and_replace_validate(value, field, bad):
     assert type(cls._make(iter(value))) is cls and cls._make(iter(value)) == value
 
 
-def test_cli_import_loads_no_dataclass_machinery():
-    # timing-free guard on the start-up cost of every tunedline process
-    probe = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import tunedline.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True)
-    loaded = set(proc.stdout.split())
-    assert "tunedline.cli" in loaded
-    assert not loaded & {"dataclasses", "datetime", "inspect", "ast", "dis", "configparser",
-                         "json", "hashlib", "_hashlib", "tunedline.config", "tunedline.reporting"}
-
-
-def test_cli_import_loads_no_typing_or_importlib_resources():
-    # -S keeps site start-up, which may import both itself, out of the probe
-    src = Path(tunedline.__file__).resolve().parents[1]
-    probe = (
-        "import sys, tunedline.cli\n"
-        "print(' '.join(sorted({'typing', 'importlib.resources'} & set(sys.modules))))\n"
-    )
-    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
-                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.stdout.split() == []
-
-
 # the modules a command may skip, and which of them each command loads: only
 # sweep's manifest hashes (config_digest), so only sweep loads hashlib and OpenSSL
 PER_COMMAND = ("json", "hashlib", "_hashlib", "tunedline.config", "tunedline.reporting")
+# modules whose import cost no command pays
+NEVER = ("dataclasses", "datetime", "inspect", "ast", "dis", "configparser", "typing",
+         "importlib.resources")
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -142,7 +119,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
         "import sys\n"
         "from tunedline.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        f"print(*sorted(set(sys.modules) & {set(PER_COMMAND)!r}), file=sys.stderr)\n"
+        f"print(*sorted(set(sys.modules) & {set(PER_COMMAND + NEVER)!r}), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     argv = [str(tmp_path / "out") if arg == "OUT" else arg for arg in argv]
