@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from contextlib import ExitStack
 from itertools import islice
@@ -134,7 +135,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report = json.dumps(record._asdict(), indent=2)
     # written before anything is printed, so a failed write (exit 4) prints nothing
     if args.out:
-        with open_atomic(args.out) as fh:
+        # a Path, so that f/ names the file f, as pathlib spells it
+        with open_atomic(Path(args.out)) as fh:
             fh.write(report + "\n")
     if args.format == "json":
         print(report)
@@ -167,8 +169,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .reporting import (PLOT_QUANTITIES, RecordWriter, build_manifest, dips_report_json,
                             open_atomic)
     cfg = load_sweep_config(resolve_config_arg(args.config))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # the one Path of the run: it makes the directory, and spells it for stdout
+    # and the manifest (d/ and ./d as d, d//x as d/x); the rest are strs
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    out_dir = str(out)
     # every fixed-name output, in the manifest's order, and whether this run writes it
     file_set = {
         "records.csv": True,
@@ -176,17 +181,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "dips.json": True,
         **{f"{q}.dat": args.plot_data for q in PLOT_QUANTITIES},
     }
-    outputs = [out_dir / name for name, written in file_set.items() if written]
+    # each output path is prefix + name, as pathlib joins them: d/x/name, and name in .
+    prefix = "" if out_dir == "." else os.path.join(out_dir, "")
+    outputs = [prefix + name for name, written in file_set.items() if written]
     # a directory at a fixed name would fail its rename or unlink after others succeeded
-    for path in [out_dir / name for name in ("manifest.json", *file_set)]:
-        if path.is_dir():
+    for path in [prefix + name for name in ("manifest.json", *file_set)]:
+        if os.path.isdir(path):
             raise IsADirectoryError(f"{path} is a directory, not an output file")
 
     with ExitStack() as stack:
         # entered first, so renamed last, once every other file is in place
-        manifest_file = stack.enter_context(open_atomic(out_dir / "manifest.json"))
+        manifest_file = stack.enter_context(open_atomic(prefix + "manifest.json"))
         csv, records_json, dips_file, *plots = [
-            stack.enter_context(open_atomic(out_dir / name)) if written else None
+            stack.enter_context(open_atomic(prefix + name)) if written else None
             for name, written in file_set.items()
         ]
         writer = RecordWriter(csv, records_json, plots if args.plot_data else ())
@@ -204,11 +211,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         manifest_file.write(json.dumps(manifest, indent=2) + "\n")
     for name, written in file_set.items():
         if not written:
-            (out_dir / name).unlink(missing_ok=True)
+            try:
+                os.unlink(prefix + name)
+            except FileNotFoundError:
+                pass
 
     # the files are committed, so the path is spelled as stdout can carry it: a
     # character its encoding and error handler refuse becomes \xe9 or \udce9
-    path, encoding = str(outputs[0]), getattr(sys.stdout, "encoding", None) or "utf-8"
+    path, encoding = outputs[0], getattr(sys.stdout, "encoding", None) or "utf-8"
     try:
         path.encode(encoding, getattr(sys.stdout, "errors", None) or "strict")
     except UnicodeEncodeError:

@@ -83,6 +83,10 @@ _SINGULAR_ROW = "%%.17g,,,,%.17g,,,true\n"
 # it out, filled with the JSON spellings of a row's eight CSV cells.
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_FIELDS) + "\n  }"
 
+# dips.json array element in the same layout.  json spells a float by its
+# repr and an int by its decimal digits, and a dip's cells are finite.
+_JSON_DIP = '  {\n    "f_detected": %r,\n    "n_matched": %d,\n    "q_line_at_dip": %r\n  }'
+
 
 class RecordWriter:
     """Appends a sweep's records, a chunk at a time, to its open record files.
@@ -159,21 +163,26 @@ def open_atomic(path: str | Path) -> Iterator[TextIOBase]:
     .partial file is deleted and the exception propagates, so path is
     either the complete text or untouched.
     """
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
+    partial = os.fspath(path) + ".partial"
     fh = open(partial, "w", encoding="utf-8", newline="")
     try:
         with fh:
             yield fh
         os.replace(partial, path)
     except BaseException:  # includes KeyboardInterrupt; re-raised below
-        partial.unlink(missing_ok=True)
+        try:
+            os.unlink(partial)
+        except FileNotFoundError:
+            pass
         raise
 
 
-def dips_report_json(dips: list[TuningDip]) -> str:
-    """Dips as a JSON array of objects keyed by the TuningDip fields."""
-    return json.dumps([d._asdict() for d in dips], indent=2) + "\n"
+def dips_report_json(dips: Sequence[TuningDip]) -> str:
+    """Dips as a JSON array of objects keyed by the TuningDip fields, one
+    template per dip, in the bytes `json.dumps(..., indent=2)` gives."""
+    if not dips:
+        return "[]\n"
+    return "[\n" + ",\n".join([_JSON_DIP % dip for dip in dips]) + "\n]\n"
 
 
 def config_digest(cfg: SweepConfig) -> str:

@@ -520,6 +520,10 @@ class TestSweepCommand:
         assert code == 4
         assert "error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [blocker]
+        # the error names the directory asked for, not the first one that cannot be made
+        out = blocker / "sub" / "x"
+        assert main(["sweep", "--config", "experiment_500km", "--out", str(out)]) == 4
+        assert capsys.readouterr() == ("", f"error: [Errno 20] Not a directory: '{out}'\n")
 
 
 class _FullDisk:
@@ -547,6 +551,44 @@ class TestSweepOutputSet:
         assert main(["sweep", "--config", "experiment_300km", "--out", str(fresh)]) == 0
         for name in ("records.csv", "dips.json"):
             assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    @pytest.mark.parametrize("args, names", [
+        (["--format", "json"], ["records.csv", "records.json", "dips.json"]),
+        (["--plot-data"], ["records.csv", "dips.json", "p_r_mw.dat", "q_r_mvar.dat",
+                           "q_line_mvar.dat"]),
+    ], ids=["json", "plot-data"])
+    def test_each_flag_alone_writes_the_files_of_both_flags(self, capsys, tmp_path, args,
+                                                            names):
+        # records.json and the plot files have their own rows whichever other flag is given
+        both = tmp_path / "both"
+        assert main(["sweep", "--config", "experiment_300km", "--out", str(both),
+                     "--format", "json", "--plot-data"]) == 0
+        alone = tmp_path / "alone"
+        assert main(["sweep", "--config", "experiment_300km", "--out", str(alone), *args]) == 0
+        manifest = json.loads((alone / "manifest.json").read_text())
+        assert manifest["outputs"] == [str(alone / name) for name in names]
+        assert sorted(p.name for p in alone.iterdir()) == sorted([*names, "manifest.json"])
+        for name in names:
+            assert (alone / name).read_bytes() == (both / name).read_bytes(), name
+
+    @pytest.mark.parametrize("out, spelled", [("d/", "d"), ("./d", "d"), ("d//x", "d/x"),
+                                              (".", "")])
+    def test_out_is_spelled_as_pathlib_spells_it(self, capsys, monkeypatch, tmp_path, out,
+                                                 spelled):
+        # stdout, the manifest and the directory check name the files as pathlib
+        # joins them: d/ and ./d as d, d//x as d/x, and . as no directory at all
+        monkeypatch.chdir(tmp_path)
+        prefix = spelled and spelled + "/"
+        assert main(["sweep", "--config", "experiment_300km", "--out", out]) == 0
+        assert capsys.readouterr().out.startswith(
+            f"wrote 951 records (0 singular) to {prefix}records.csv\n")
+        manifest = json.loads((tmp_path / spelled / "manifest.json").read_text())
+        assert manifest["outputs"] == [f"{prefix}records.csv", f"{prefix}dips.json"]
+        (tmp_path / spelled / "dips.json").unlink()
+        (tmp_path / spelled / "dips.json").mkdir()
+        assert main(["sweep", "--config", "experiment_300km", "--out", out]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: {prefix}dips.json is a directory, not an output file\n")
 
     def test_other_files_in_the_directory_are_kept(self, capsys, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,4 @@
-"""Tests for the record file writer and the atomic file writes."""
+"""Tests for the record file writer, the dips report and the atomic file writes."""
 
 from __future__ import annotations
 
@@ -7,19 +7,21 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from conftest import plot_data_per_cell, records_csv_per_cell, records_json_per_cell
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tunedline import SweepRecord
+from tunedline import SweepRecord, TuningDip
 from tunedline.cli import CHUNK_POINTS
 from tunedline.reporting import (
     CSV_FIELDS,
     CSV_HEADER,
     PLOT_QUANTITIES,
     RecordWriter,
+    dips_report_json,
     open_atomic,
 )
 
@@ -167,9 +169,24 @@ def test_records_json_loads_as_the_rows_from_csv_cells(rows):
             assert token == json.dumps(value)
 
 
-def test_open_atomic_renames_on_success(tmp_path):
+dip = st.builds(TuningDip, cell, st.integers(min_value=0, max_value=10**200), cell)
+
+
+@given(dips=st.lists(dip, max_size=14))
+@example(dips=[])
+@example(dips=[TuningDip(-0.0, 0, 1e308), TuningDip(5e-324, 10**200, -1e308),
+               TuningDip(2.2250738585072014e-308, 1, -5e-324),
+               TuningDip(-1.7976931348623157e308, 3, 0.0)])
+@settings(max_examples=300)
+def test_dips_report_json_equals_json_dumps(dips):
+    # one template per dip gives the bytes json's own indent-2 encoder gives
+    assert dips_report_json(dips) == json.dumps([d._asdict() for d in dips], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("kind", [str, Path])
+def test_open_atomic_renames_on_success(tmp_path, kind):
     path = tmp_path / "out.txt"
-    with open_atomic(path) as fh:
+    with open_atomic(kind(path)) as fh:
         fh.write("a\n")
         assert (tmp_path / "out.txt.partial").is_file()
         assert not path.exists()
@@ -177,12 +194,13 @@ def test_open_atomic_renames_on_success(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
+@pytest.mark.parametrize("kind", [str, Path])
 @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-def test_open_atomic_removes_partial_on_error(tmp_path, error):
+def test_open_atomic_removes_partial_on_error(tmp_path, error, kind):
     path = tmp_path / "out.txt"
     path.write_text("old\n")
     with pytest.raises(error):
-        with open_atomic(path) as fh:
+        with open_atomic(kind(path)) as fh:
             fh.write("new\n")
             raise error
     assert path.read_text() == "old\n"
