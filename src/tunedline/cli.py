@@ -163,14 +163,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     marks a complete run, and a failure before then leaves the previous
     run's files as they were.  After the renames, the fixed-name outputs
     this run did not write are deleted, so the directory holds one run.
+
+    --out becomes the run's one Path, which makes the directory and
+    spells it as pathlib does (d/ and ./d as d, d//x as d/x) for stdout
+    and the manifest.  Every output path is a str joined to that
+    spelling, and is checked, opened and deleted through os.
     """
     import json
     from .config import load_sweep_config, resolve_config_arg
     from .reporting import (PLOT_QUANTITIES, RecordWriter, build_manifest, dips_report_json,
                             open_atomic)
     cfg = load_sweep_config(resolve_config_arg(args.config))
-    # the one Path of the run: it makes the directory, and spells it for stdout
-    # and the manifest (d/ and ./d as d, d//x as d/x); the rest are strs
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     out_dir = str(out)

@@ -24,6 +24,12 @@ every number loads as the same float, signed zeros included.  The plot
 files are `f_hz value` pairs of the same cells, one line per
 non-singular row.
 
+dips.json is one template too: each dip fills an element laid out as
+`json.dumps(..., indent=2)` lays it out, with its floats spelled by
+repr and n_matched by its digits, as json spells them.  A dip comes
+from a non-singular row, so its cells are finite, and the bytes are
+those json gives.
+
 `RecordWriter` is the one renderer of records.csv, records.json and the
 plot files.  It streams them into open files a chunk of records at a
 time and gives the same bytes however the records are chunked, so the
@@ -37,8 +43,8 @@ cut from the chunk's rows, split once into cells: one template fills a
 chunk's records.json, and each plot file is two column slices of them.
 
 Every file is written through one atomic writer, `open_atomic`: a
-context manager that yields the handle of a `<name>.partial` sibling,
-renames it to `<name>` when the block succeeds and deletes it when the
+context manager that yields the handle of a `<path>.partial` file,
+renames it to `<path>` when the block succeeds and deletes it when the
 block raises, so a failed or interrupted run leaves neither a
 clean-looking half-written output nor a .partial file.  The `sweep`
 command holds every file of a run open at once, so none is renamed
@@ -83,8 +89,8 @@ _SINGULAR_ROW = "%%.17g,,,,%.17g,,,true\n"
 # it out, filled with the JSON spellings of a row's eight CSV cells.
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %s' for key in CSV_FIELDS) + "\n  }"
 
-# dips.json array element in the same layout.  json spells a float by its
-# repr and an int by its decimal digits, and a dip's cells are finite.
+# dips.json array element in the same layout, spelled as json spells a
+# dip's finite floats (repr) and its int (digits)
 _JSON_DIP = '  {\n    "f_detected": %r,\n    "n_matched": %d,\n    "q_line_at_dip": %r\n  }'
 
 
@@ -157,8 +163,10 @@ class RecordWriter:
 
 @contextmanager
 def open_atomic(path: str | Path) -> Iterator[TextIOBase]:
-    """Yield a text handle on path's .partial sibling; rename it to path on success.
+    """Yield a text handle on path + ".partial"; rename it to path on success.
 
+    path is a str or a Path, taken as `os.fspath` spells it: a str
+    ending in / would put the .partial file inside that directory.
     When the block (or closing the file, or the rename) raises, the
     .partial file is deleted and the exception propagates, so path is
     either the complete text or untouched.
